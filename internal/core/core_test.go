@@ -222,6 +222,65 @@ echo dist(3.0, 4.0), " ", dist(3, 4), "\n";
 `, 8)
 }
 
+// TestModesAgreeErrorPaths: runtime errors raised inside JITed code
+// carry the interpreter's exact messages (and builtin arity checks),
+// because both tiers call the same op implementations.
+func TestModesAgreeErrorPaths(t *testing.T) {
+	runAllModes(t, `
+class Box { public $v = 1; }
+function typed(int $x) { return $x + 1; }
+function arity($s) { return strlen($s, 2); }
+function idx($n) { $a = $n; return $a[1]; }
+function meth($n) { $o = $n; return $o->foo(1); }
+function nothis() { return $this; }
+function prop($n) { $o = $n; return $o->v; }
+function undef($n) { return NoSuchFunc($n); }
+function attempt($k) {
+  try {
+    if ($k == 0) { return typed("abc"); }
+    if ($k == 1) { return arity("abc"); }
+    if ($k == 2) { return idx(5); }
+    if ($k == 3) { return meth(7); }
+    if ($k == 4) { return nothis(); }
+    if ($k == 5) { return prop(9); }
+    return undef(1);
+  } catch (Exception $e) {
+    return "[" . $e->getMessage() . "]";
+  }
+}
+for ($k = 0; $k < 7; $k++) { echo attempt($k), "\n"; }
+`, 40)
+}
+
+// TestModesAgreeOperandsReleased: JITed code releases the operands of
+// a generic binop and a switch scrutinee as the interpreter does, so
+// an object losing its last reference there destructs on time.
+func TestModesAgreeOperandsReleased(t *testing.T) {
+	runAllModes(t, `
+class D { function __destruct() { echo "d"; } }
+function pick($v) {
+  switch ($v) {
+    case 0: return "a";
+    case 1: return "b";
+    case 2: return "c";
+    default: return "z";
+  }
+}
+function f($n) {
+  $acc = 0;
+  $s = "";
+  for ($i = 0; $i < $n; $i++) {
+    $a = [new D()];
+    $b = $a + [1, 2, 3];
+    $acc += count($b);
+    $s .= pick(new D());
+  }
+  return $s . $acc;
+}
+echo f(5), "\n";
+`, 40)
+}
+
 func TestRegionJITIsFasterThanInterp(t *testing.T) {
 	src := `
 function hot($n) {

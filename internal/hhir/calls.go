@@ -28,7 +28,7 @@ func (b *builder) lowerCallD(in hhbc.Instr, pc int) error {
 		// Resolved to a builtin (or a runtime error) at execution.
 		args := b.popArgs(nargs)
 		dst := b.out.NewTmp(types.TInitCell)
-		call := &Instr{Op: CallBuiltin, Dst: dst, Str: strings.ToLower(name),
+		call := &Instr{Op: CallBuiltin, Dst: dst, Str: name, I64: int64(hhbc.OpFCallD),
 			Args: args, Exit: b.catchExit()}
 		dst.Def = call
 		b.emit(call)
@@ -73,7 +73,8 @@ func (b *builder) lowerCallBuiltin(in hhbc.Instr) error {
 		}
 	}
 	dst := b.out.NewTmp(t)
-	call := &Instr{Op: CallBuiltin, Dst: dst, Str: name, Args: args, Exit: b.catchExit()}
+	call := &Instr{Op: CallBuiltin, Dst: dst, Str: name, I64: int64(hhbc.OpFCallBuiltin),
+		Args: args, Exit: b.catchExit()}
 	dst.Def = call
 	b.emit(call)
 	b.push(dst)

@@ -213,9 +213,6 @@ func (u *Unit) NewBlock(bcStart int) *Block {
 	return b
 }
 
-// NumTmps returns the SSA value count (for pass-local tables).
-func (u *Unit) NumTmps() int { return u.nextTmp }
-
 func (u *Unit) String() string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "HHIR unit for %s\n", u.Func.FullName())

@@ -1,7 +1,10 @@
 package hhir
 
 import (
+	"fmt"
+
 	"repro/internal/hhbc"
+	"repro/internal/interp"
 	"repro/internal/profile"
 	"repro/internal/shapes"
 	"repro/internal/types"
@@ -253,6 +256,7 @@ func (b *builder) lowerInstr(in hhbc.Instr, pc int, ri int) (bool, error) {
 		// indirect jump), like HHVM's Switch lowering.
 		v := b.pop()
 		iv := b.toInt(v)
+		b.decRef(v)
 		sw := b.curFn().Switches[in.A]
 		table := make([]*Block, len(sw.Targets))
 		for ti, tpc := range sw.Targets {
@@ -311,14 +315,14 @@ func (b *builder) lowerInstr(in hhbc.Instr, pc int, ri int) (bool, error) {
 
 	case hhbc.OpArrIdx:
 		key, arr := b.pop(), b.pop()
-		r := b.arrGet(arr, key)
+		r := b.arrGet(arr, key, "")
 		b.decRef(key)
 		b.decRef(arr)
 		b.push(r)
 	case hhbc.OpArrGetL:
 		key := b.pop()
 		arr := b.ldLoc(b.slot(in.A))
-		r := b.arrGet(arr, key)
+		r := b.arrGet(arr, key, interp.LocalName(b.curFn(), in.A))
 		b.decRef(key)
 		b.push(r)
 	case hhbc.OpArrSetL:
@@ -454,12 +458,12 @@ func (b *builder) lowerInstr(in hhbc.Instr, pc int, ri int) (bool, error) {
 		ht := hintTypeB(p)
 		slot := b.slot(in.A)
 		if !b.localType(slot).SubtypeOf(ht) {
-			hint := p.TypeHint
-			if p.Nullable {
-				hint = "?" + hint
+			site, ok := PackParamSite(b.curFn().ID, idx, slot)
+			if !ok {
+				return false, fmt.Errorf("hhir: VerifyParam site (func %d, param %d, slot %d) out of range",
+					b.curFn().ID, idx, slot)
 			}
-			b.emit(&Instr{Op: VerifyParam, I64: int64(slot), Str: hint,
-				Exit: b.catchExit()})
+			b.emit(&Instr{Op: VerifyParam, I64: site, Exit: b.catchExit()})
 		}
 		nt := b.localType(slot).Intersect(ht)
 		if nt.IsBottom() {
@@ -482,6 +486,31 @@ func (b *builder) lowerInstr(in hhbc.Instr, pc int, ri int) (bool, error) {
 }
 
 func packIter(iter, slot int32) int64 { return int64(iter)<<32 | int64(uint32(slot)) }
+
+// VerifyParam's immediate packs the checked function, its parameter
+// index and the frame slot holding the argument (slot differs from
+// the index inside an inlined callee). The field widths keep the
+// packed value within a Helper instruction's 48-bit extra.
+const (
+	paramSlotBits = 16
+	paramIdxBits  = 8
+	paramFuncBits = 23
+)
+
+// PackParamSite encodes VerifyParam's immediate; ok is false when a
+// field does not fit.
+func PackParamSite(fn, idx, slot int) (site int64, ok bool) {
+	if fn >= 1<<paramFuncBits || idx >= 1<<paramIdxBits || slot >= 1<<paramSlotBits {
+		return 0, false
+	}
+	return int64(fn)<<(paramIdxBits+paramSlotBits) | int64(idx)<<paramSlotBits | int64(slot), true
+}
+
+// UnpackParamSite decodes VerifyParam's immediate.
+func UnpackParamSite(v int64) (fn, idx, slot int) {
+	return int(v >> (paramIdxBits + paramSlotBits)),
+		int(v>>paramSlotBits) & (1<<paramIdxBits - 1), int(v) & (1<<paramSlotBits - 1)
+}
 
 // UnpackIter decodes IterInitLocal's immediate.
 func UnpackIter(v int64) (iter, slot int32) { return int32(v >> 32), int32(uint32(v)) }
@@ -607,7 +636,9 @@ func (b *builder) toDbl(v *SSATmp) *SSATmp {
 }
 
 // arrGet emits a specialized or generic array read; result is owned.
-func (b *builder) arrGet(arr, key *SSATmp) *SSATmp {
+// local names the local arr was loaded from ("" for a stack operand),
+// for the generic helper's error message.
+func (b *builder) arrGet(arr, key *SSATmp, local string) *SSATmp {
 	if arr.Type.ArrayKind() == types.ArrayPacked && key.Type.SubtypeOf(types.TInt) {
 		dst := b.out.NewTmp(types.TInitCell)
 		in := &Instr{Op: ArrGetPackedI, Dst: dst, Args: []*SSATmp{arr, key},
@@ -617,7 +648,7 @@ func (b *builder) arrGet(arr, key *SSATmp) *SSATmp {
 		return dst
 	}
 	dst := b.out.NewTmp(types.TInitCell)
-	in := &Instr{Op: ArrGetGeneric, Dst: dst, Args: []*SSATmp{arr, key},
+	in := &Instr{Op: ArrGetGeneric, Dst: dst, Str: local, Args: []*SSATmp{arr, key},
 		Exit: b.catchExit()}
 	dst.Def = in
 	b.emit(in)

@@ -69,7 +69,7 @@ const (
 	// Arrays.
 	CountArray     // Args[0] packed/mixed array -> Int (inline load)
 	ArrGetPackedI  // Args: arr, intIdx; miss -> Null + notice (helper on slow path)
-	ArrGetGeneric  // helper
+	ArrGetGeneric  // helper; Str = local name for ArrGetL ("" otherwise)
 	ArrSetLocal    // I64 = local slot; Args: key, val; COW helper
 	ArrAppendLocal // I64 = local slot; Args: val
 	ArrUnsetLocal  // I64 = local slot; Args: key
@@ -103,10 +103,10 @@ const (
 
 	// Calls. Str = name; I64 = callee func id (-1 unknown).
 	CallFunc     // direct guest call; Args = args
-	CallBuiltin  // Str = builtin name
+	CallBuiltin  // Str = name; I64 = the call site's hhbc op (FCallD or FCallBuiltin)
 	CallMethodD  // devirtualized: I64 = func id; Args[0] = obj, rest args
 	CallMethodC  // common-base/interface dispatch: Str = method, I64 = cache id; Args[0] = obj
-	VerifyParam  // I64 = param index; may throw
+	VerifyParam  // I64 = packed (func id, param index, slot); may throw
 	ProfCount    // I64 = profile counter id
 	ProfCallSite // I64 = bc pc; Args[0] = obj: record receiver class (profiling mode)
 
@@ -201,41 +201,10 @@ func (o Opcode) IsPure() bool {
 	return false
 }
 
-// IsLoad reports frame loads (eliminable by the load-elimination
-// pass, not by DCE alone since they observe memory).
-func (o Opcode) IsLoad() bool { return o == LdLoc }
-
-// CanThrow reports ops with a catch exit.
-func (o Opcode) CanThrow() bool {
-	switch o {
-	case ModInt, DivNum, BinopGeneric, ArrGetGeneric, ArrSetLocal,
-		ArrAppendLocal, CallFunc, CallBuiltin, CallMethodD, CallMethodC,
-		VerifyParam, NewObj, LdPropGeneric, StPropGeneric, ThrowC,
-		ArrGetPackedI, EqAny, SameAny, LdPropIC, StPropIC:
-		return true
-	}
-	return false
-}
-
 // IsTerminator reports control-flow enders.
 func (o Opcode) IsTerminator() bool {
 	switch o {
 	case Jmp, Branch, SwitchInt, Ret, ThrowC, SideExit, ReqBind, IterInitLocal, IterNextK:
-		return true
-	}
-	return false
-}
-
-// ObservesRC reports whether the op can observe a value's reference
-// count (the RCE pass must not sink an IncRef past an observer of the
-// same value; Section 5.3.2): DecRefs may run destructors, array
-// mutations may trigger COW.
-func (o Opcode) ObservesRC() bool {
-	switch o {
-	case DecRef, ArrSetLocal, ArrAppendLocal, ArrUnsetLocal,
-		CallFunc, CallBuiltin, CallMethodD, CallMethodC, ThrowC, Ret,
-		SideExit, ReqBind, PrintC, AddElem, AddNewElem, StPropSlot, StPropGeneric,
-		StPropIC, IterInitLocal, EndInline:
 		return true
 	}
 	return false

@@ -89,9 +89,7 @@ func (e *Env) interpCall(f *hhbc.Func, this *runtime.Object, args []runtime.Valu
 		e.OnEnter(f)
 	}
 	if e.depth >= e.MaxDepth {
-		for _, a := range args {
-			e.Heap.DecRef(a)
-		}
+		e.release(args)
 		return runtime.Null(), runtime.NewError("maximum call depth exceeded")
 	}
 	fr := NewFrame(e, f, this, args)
@@ -119,7 +117,7 @@ func (e *Env) Run(fr *Frame) (runtime.Value, error) {
 		// Unwind to a handler in this frame, or out.
 		handler := fr.Fn.HandlerFor(fr.PC)
 		if handler < 0 {
-			fr.release(e)
+			fr.Release(e)
 			return runtime.Null(), err
 		}
 		obj := e.toThrownObject(err)
@@ -205,120 +203,20 @@ func (e *Env) step(fr *Frame) (runtime.Value, error) {
 			}
 			fr.push(v)
 
-		case hhbc.OpAdd:
+		case hhbc.OpAdd, hhbc.OpSub, hhbc.OpMul, hhbc.OpDiv, hhbc.OpMod, hhbc.OpConcat,
+			hhbc.OpGt, hhbc.OpGte, hhbc.OpLt, hhbc.OpLte, hhbc.OpEq, hhbc.OpNeq,
+			hhbc.OpSame, hhbc.OpNSame:
 			b, a := fr.pop(), fr.pop()
-			r, err := runtime.Add(h, a, b)
-			h.DecRef(a)
-			h.DecRef(b)
+			r, err := BinopConsume(h, in.Op, a, b)
 			if err != nil {
 				return runtime.Null(), err
 			}
 			fr.push(r)
-		case hhbc.OpSub:
-			b, a := fr.pop(), fr.pop()
-			r, err := runtime.Sub(a, b)
-			h.DecRef(a)
-			h.DecRef(b)
-			if err != nil {
-				return runtime.Null(), err
-			}
-			fr.push(r)
-		case hhbc.OpMul:
-			b, a := fr.pop(), fr.pop()
-			r, err := runtime.Mul(a, b)
-			h.DecRef(a)
-			h.DecRef(b)
-			if err != nil {
-				return runtime.Null(), err
-			}
-			fr.push(r)
-		case hhbc.OpDiv:
-			b, a := fr.pop(), fr.pop()
-			r, err := runtime.Div(a, b)
-			h.DecRef(a)
-			h.DecRef(b)
-			if err != nil {
-				return runtime.Null(), err
-			}
-			fr.push(r)
-		case hhbc.OpMod:
-			b, a := fr.pop(), fr.pop()
-			r, err := runtime.Mod(a, b)
-			h.DecRef(a)
-			h.DecRef(b)
-			if err != nil {
-				return runtime.Null(), err
-			}
-			fr.push(r)
-		case hhbc.OpConcat:
-			b, a := fr.pop(), fr.pop()
-			r := runtime.Concat(a, b)
-			h.DecRef(a)
-			h.DecRef(b)
-			fr.push(r)
-		case hhbc.OpNeg:
+		case hhbc.OpNeg, hhbc.OpNot, hhbc.OpCastBool, hhbc.OpCastInt, hhbc.OpCastDouble,
+			hhbc.OpCastString:
 			a := fr.pop()
-			if a.Kind == types.KDbl {
-				fr.push(runtime.Dbl(-a.D))
-			} else {
-				fr.push(runtime.Int(-a.ToInt()))
-			}
+			fr.push(Unop(h, in.Op, a))
 			h.DecRef(a)
-
-		case hhbc.OpGt, hhbc.OpGte, hhbc.OpLt, hhbc.OpLte:
-			b, a := fr.pop(), fr.pop()
-			c := runtime.Cmp(a, b)
-			h.DecRef(a)
-			h.DecRef(b)
-			var r bool
-			switch in.Op {
-			case hhbc.OpGt:
-				r = c > 0
-			case hhbc.OpGte:
-				r = c >= 0
-			case hhbc.OpLt:
-				r = c < 0
-			case hhbc.OpLte:
-				r = c <= 0
-			}
-			fr.push(runtime.Bool(r))
-		case hhbc.OpEq, hhbc.OpNeq:
-			b, a := fr.pop(), fr.pop()
-			r := runtime.LooseEq(a, b)
-			h.DecRef(a)
-			h.DecRef(b)
-			fr.push(runtime.Bool(r == (in.Op == hhbc.OpEq)))
-		case hhbc.OpSame, hhbc.OpNSame:
-			b, a := fr.pop(), fr.pop()
-			r := runtime.StrictEq(a, b)
-			h.DecRef(a)
-			h.DecRef(b)
-			fr.push(runtime.Bool(r == (in.Op == hhbc.OpSame)))
-		case hhbc.OpNot:
-			a := fr.pop()
-			fr.push(runtime.Bool(!a.Bool()))
-			h.DecRef(a)
-
-		case hhbc.OpCastBool:
-			a := fr.pop()
-			fr.push(runtime.Bool(a.Bool()))
-			h.DecRef(a)
-		case hhbc.OpCastInt:
-			a := fr.pop()
-			fr.push(runtime.Int(a.ToInt()))
-			h.DecRef(a)
-		case hhbc.OpCastDouble:
-			a := fr.pop()
-			fr.push(runtime.Dbl(a.ToDbl()))
-			h.DecRef(a)
-		case hhbc.OpCastString:
-			a := fr.pop()
-			if a.Kind == types.KStr {
-				fr.push(a)
-			} else {
-				fr.push(runtime.NewStr(a.ToString()))
-				h.DecRef(a)
-			}
 
 		case hhbc.OpJmp:
 			if int(in.A) <= fr.PC && e.OSRCheck != nil && len(fr.Stack) == 0 {
@@ -367,17 +265,12 @@ func (e *Env) step(fr *Frame) (runtime.Value, error) {
 
 		case hhbc.OpRetC:
 			ret := fr.pop()
-			fr.release(e)
+			fr.Release(e)
 			fr.PC = -1
 			return ret, nil
 
 		case hhbc.OpThrow:
-			v := fr.pop()
-			if v.Kind != types.KObj {
-				h.DecRef(v)
-				return runtime.Null(), runtime.NewError("can only throw objects")
-			}
-			return runtime.Null(), runtime.Thrown(v.O)
+			return runtime.Null(), Throw(h, fr.pop())
 		case hhbc.OpCatch:
 			if fr.pendingExc == nil {
 				return runtime.Null(), runtime.NewError("Catch with no pending exception")
@@ -390,212 +283,156 @@ func (e *Env) step(fr *Frame) (runtime.Value, error) {
 		case hhbc.OpNewArray:
 			fr.push(runtime.ArrV(runtime.NewMixed()))
 		case hhbc.OpNewPackedArray:
-			n := int(in.A)
-			elems := make([]runtime.Value, n)
-			copy(elems, fr.Stack[len(fr.Stack)-n:])
-			fr.Stack = fr.Stack[:len(fr.Stack)-n]
-			fr.push(runtime.ArrV(runtime.NewPacked(elems)))
+			fr.push(NewPacked(fr.popN(int(in.A))))
 		case hhbc.OpAddElemC:
 			val, key, arrv := fr.pop(), fr.pop(), fr.pop()
-			if arrv.Kind != types.KArr {
+			r, err := AddElem(h, arrv, key, val)
+			if err != nil {
 				h.DecRef(val)
 				h.DecRef(key)
 				h.DecRef(arrv)
-				return runtime.Null(), runtime.NewError("AddElemC on non-array")
+				return runtime.Null(), err
 			}
-			na := arrv.A.Set(h, key, val)
 			h.DecRef(key)
-			fr.push(runtime.ArrV(na))
+			fr.push(r)
 		case hhbc.OpAddNewElemC:
 			val, arrv := fr.pop(), fr.pop()
-			if arrv.Kind != types.KArr {
+			r, err := AddNewElem(h, arrv, val)
+			if err != nil {
 				h.DecRef(val)
 				h.DecRef(arrv)
-				return runtime.Null(), runtime.NewError("AddNewElemC on non-array")
+				return runtime.Null(), err
 			}
-			fr.push(runtime.ArrV(arrv.A.Append(h, val)))
+			fr.push(r)
 
 		case hhbc.OpArrIdx:
 			key, arrv := fr.pop(), fr.pop()
-			if arrv.Kind != types.KArr {
-				h.DecRef(key)
-				h.DecRef(arrv)
-				return runtime.Null(), runtime.NewError("cannot index non-array")
-			}
-			el, _ := arrv.A.Get(key)
-			if el.Kind == types.KUninit {
-				el = runtime.Null()
-			}
-			h.IncRef(el)
+			el, err := ArrGet(h, arrv, key, "")
 			h.DecRef(key)
 			h.DecRef(arrv)
+			if err != nil {
+				return runtime.Null(), err
+			}
 			fr.push(el)
 		case hhbc.OpArrGetL:
 			key := fr.pop()
-			lv := fr.Locals[in.A]
-			if lv.Kind != types.KArr {
-				h.DecRef(key)
-				return runtime.Null(), runtime.NewError("cannot index non-array local $%s",
-					localName(fr.Fn, in.A))
-			}
-			el, _ := lv.A.Get(key)
-			if el.Kind == types.KUninit {
-				el = runtime.Null()
-			}
-			h.IncRef(el)
+			el, err := ArrGet(h, fr.Locals[in.A], key, LocalName(fr.Fn, in.A))
 			h.DecRef(key)
+			if err != nil {
+				return runtime.Null(), err
+			}
 			fr.push(el)
 		case hhbc.OpArrSetL:
 			key, val := fr.pop(), fr.pop()
-			lv := fr.Locals[in.A]
-			if lv.Kind == types.KUninit || lv.Kind == types.KNull {
-				// Auto-vivify: $a[k] = v on an unset local makes an array.
-				lv = runtime.ArrV(runtime.NewMixed())
-				fr.Locals[in.A] = lv
-			}
-			if lv.Kind != types.KArr {
-				h.DecRef(key)
-				h.DecRef(val)
-				return runtime.Null(), runtime.NewError("cannot write index of non-array")
-			}
-			fr.Locals[in.A] = runtime.ArrV(lv.A.Set(h, key, val))
+			err := fr.ArrSetL(h, int(in.A), key, val)
 			h.DecRef(key)
+			if err != nil {
+				return runtime.Null(), err
+			}
 		case hhbc.OpArrAppendL:
-			val := fr.pop()
-			lv := fr.Locals[in.A]
-			if lv.Kind == types.KUninit || lv.Kind == types.KNull {
-				lv = runtime.ArrV(runtime.NewPacked(nil))
-				fr.Locals[in.A] = lv
+			if err := fr.ArrAppendL(h, int(in.A), fr.pop()); err != nil {
+				return runtime.Null(), err
 			}
-			if lv.Kind != types.KArr {
-				h.DecRef(val)
-				return runtime.Null(), runtime.NewError("cannot append to non-array")
-			}
-			fr.Locals[in.A] = runtime.ArrV(lv.A.Append(h, val))
 		case hhbc.OpArrUnsetL:
 			key := fr.pop()
-			lv := fr.Locals[in.A]
-			if lv.Kind == types.KArr {
-				fr.Locals[in.A] = runtime.ArrV(lv.A.Remove(h, key))
-			}
+			fr.ArrUnsetL(h, int(in.A), key)
 			h.DecRef(key)
 		case hhbc.OpAKExistsL:
 			key := fr.pop()
-			lv := fr.Locals[in.A]
-			ok := false
-			if lv.Kind == types.KArr {
-				_, ok = lv.A.Get(key)
-			}
+			ok := fr.AKExistsL(int(in.A), key)
 			h.DecRef(key)
 			fr.push(runtime.Bool(ok))
 
 		case hhbc.OpIterInitL:
-			lv := fr.Locals[in.C]
-			if lv.Kind != types.KArr || lv.A.Len() == 0 {
+			if !fr.IterInit(h, in.A, int(in.C)) {
 				fr.PC = int(in.B)
 				continue
 			}
-			h.IncRef(lv)
-			fr.setIter(in.A, runtime.NewIter(lv.A))
 		case hhbc.OpIterNext:
-			it := fr.iter(in.A)
-			if it != nil && it.Next() {
+			if fr.IterNext(in.A) {
 				fr.PC = int(in.B)
 				continue
 			}
 			// exhausted: fall through to IterFree
 		case hhbc.OpIterKey:
-			it := fr.iter(in.A)
-			k := it.Key()
-			h.IncRef(k)
-			fr.push(k)
+			fr.push(fr.IterKey(h, in.A))
 		case hhbc.OpIterValue:
-			it := fr.iter(in.A)
-			v := it.Val()
-			if v.Kind == types.KUninit {
-				v = runtime.Null()
-			}
-			h.IncRef(v)
-			fr.push(v)
+			fr.push(fr.IterValue(h, in.A))
 		case hhbc.OpIterFree:
-			it := fr.iter(in.A)
-			if it != nil {
-				h.DecRef(runtime.ArrV(it.Arr()))
-				fr.setIter(in.A, nil)
-			}
+			fr.IterFree(h, in.A)
 
-		case hhbc.OpFCallD:
-			name := u.Strings[in.B]
-			ret, err := e.fcallD(fr, name, int(in.A))
-			if err != nil {
-				return runtime.Null(), err
+		case hhbc.OpFCallD, hhbc.OpFCallBuiltin:
+			args := fr.popN(int(in.A))
+			f, b, err := e.ResolveCall(in.Op, u.Strings[in.B], args)
+			var ret runtime.Value
+			switch {
+			case b != nil:
+				ret, err = e.CallBuiltin(e.Meter, b, args)
+			case f != nil:
+				ret, err = e.Call(f, nil, args)
 			}
-			fr.push(ret)
-		case hhbc.OpFCallBuiltin:
-			ret, err := e.fcallBuiltin(fr, u.Strings[in.B], int(in.A))
 			if err != nil {
 				return runtime.Null(), err
 			}
 			fr.push(ret)
 		case hhbc.OpFCallObjMethodD:
-			ret, err := e.fcallMethod(fr, u.Strings[in.B], int(in.A))
+			args := fr.popN(int(in.A))
+			ov := fr.pop()
+			f, err := e.ResolveMethod(ov, u.Strings[in.B], args)
+			ret := runtime.Null()
+			if f != nil {
+				ret, err = e.Call(f, ov.O, args)
+			}
+			h.DecRef(ov)
 			if err != nil {
 				return runtime.Null(), err
 			}
 			fr.push(ret)
 
 		case hhbc.OpNewObjD:
-			cls, ok := e.Classes[u.Strings[in.A]]
-			if !ok {
-				return runtime.Null(), runtime.NewError("class %s not found", u.Strings[in.A])
+			v, err := e.NewObj(u.Strings[in.A])
+			if err != nil {
+				return runtime.Null(), err
 			}
-			fr.push(runtime.ObjV(e.NewInstance(cls)))
+			fr.push(v)
 		case hhbc.OpThis:
-			if fr.This == nil {
-				return runtime.Null(), runtime.NewError("using $this outside object context")
+			v, err := fr.LoadThis()
+			if err != nil {
+				return runtime.Null(), err
 			}
-			v := runtime.ObjV(fr.This)
 			h.IncRef(v)
 			fr.push(v)
 		case hhbc.OpCGetPropD:
 			ov := fr.pop()
-			if ov.Kind != types.KObj {
-				h.DecRef(ov)
-				return runtime.Null(), runtime.NewError("property access on non-object")
-			}
-			p := runtime.GetPropNamed(h, ov.O, u.Strings[in.A])
+			p, err := GetProp(h, ov, u.Strings[in.A])
 			h.DecRef(ov)
+			if err != nil {
+				return runtime.Null(), err
+			}
 			fr.push(p)
 		case hhbc.OpSetPropD:
 			val, ov := fr.pop(), fr.pop()
-			if ov.Kind != types.KObj {
-				h.DecRef(val)
-				h.DecRef(ov)
-				return runtime.Null(), runtime.NewError("property write on non-object")
-			}
 			h.IncRef(val) // one ref into the prop, one back on the stack
-			if err := runtime.SetPropNamed(h, ov.O, u.Strings[in.A], val); err != nil {
+			if err := SetProp(h, ov, u.Strings[in.A], val); err != nil {
 				h.DecRef(val)
 				h.DecRef(ov)
-				return runtime.Null(), runtime.NewError("%s", err.Error())
+				return runtime.Null(), err
 			}
 			h.DecRef(ov)
 			fr.push(val)
 		case hhbc.OpInstanceOfD:
 			v := fr.pop()
-			r := v.Kind == types.KObj && v.O.Class.IsSubclassOf(u.Strings[in.A])
+			r := InstanceOf(v, u.Strings[in.A])
 			h.DecRef(v)
 			fr.push(runtime.Bool(r))
 		case hhbc.OpVerifyParamType:
-			if err := e.verifyParam(fr, int(in.A)); err != nil {
+			if err := fr.VerifyParam(fr.Fn, int(in.A), int(in.A)); err != nil {
 				return runtime.Null(), err
 			}
 
 		case hhbc.OpPrint:
 			v := fr.pop()
-			if e.Out != nil {
-				fmt.Fprint(e.Out, v.ToString())
-			}
+			e.Print(v)
 			h.DecRef(v)
 			fr.push(runtime.Int(1))
 
@@ -606,7 +443,8 @@ func (e *Env) step(fr *Frame) (runtime.Value, error) {
 	}
 }
 
-func localName(f *hhbc.Func, slot int32) string {
+// LocalName is the source name of f's local slot, for error messages.
+func LocalName(f *hhbc.Func, slot int32) string {
 	if int(slot) < len(f.LocalName) {
 		return f.LocalName[slot]
 	}
@@ -646,129 +484,4 @@ func (e *Env) incDecL(fr *Frame, in hhbc.Instr) (runtime.Value, error) {
 		return oldv, nil
 	}
 	return newv, nil
-}
-
-func (e *Env) popArgs(fr *Frame, n int) []runtime.Value {
-	args := make([]runtime.Value, n)
-	copy(args, fr.Stack[len(fr.Stack)-n:])
-	fr.Stack = fr.Stack[:len(fr.Stack)-n]
-	return args
-}
-
-func (e *Env) fcallD(fr *Frame, name string, nargs int) (runtime.Value, error) {
-	args := e.popArgs(fr, nargs)
-	if f, ok := e.Unit.FuncByName(name); ok {
-		return e.Call(f, nil, args)
-	}
-	// Fall back to a builtin of the same name.
-	if b, ok := runtime.LookupBuiltin(lowerName(name)); ok {
-		return e.callBuiltin(b, args)
-	}
-	for _, a := range args {
-		e.Heap.DecRef(a)
-	}
-	return runtime.Null(), runtime.NewError("call to undefined function %s()", name)
-}
-
-func (e *Env) fcallBuiltin(fr *Frame, name string, nargs int) (runtime.Value, error) {
-	args := e.popArgs(fr, nargs)
-	b, ok := runtime.LookupBuiltin(name)
-	if !ok {
-		// A user function may shadow an unknown builtin reference.
-		if f, okf := e.Unit.FuncByName(name); okf {
-			return e.Call(f, nil, args)
-		}
-		for _, a := range args {
-			e.Heap.DecRef(a)
-		}
-		return runtime.Null(), runtime.NewError("call to undefined builtin %s()", name)
-	}
-	return e.callBuiltin(b, args)
-}
-
-func (e *Env) callBuiltin(b *runtime.Builtin, args []runtime.Value) (runtime.Value, error) {
-	if b.Arity >= 0 && len(args) != b.Arity {
-		for _, a := range args {
-			e.Heap.DecRef(a)
-		}
-		return runtime.Null(), runtime.NewError("%s() expects %d arguments, %d given",
-			b.Name, b.Arity, len(args))
-	}
-	if e.Meter != nil {
-		e.Meter.Charge(b.Cost)
-	}
-	ctx := &runtime.BuiltinCtx{Heap: e.Heap, Out: e.Out}
-	ret, err := b.Fn(ctx, args)
-	for _, a := range args {
-		e.Heap.DecRef(a)
-	}
-	return ret, err
-}
-
-func (e *Env) fcallMethod(fr *Frame, name string, nargs int) (runtime.Value, error) {
-	args := e.popArgs(fr, nargs)
-	ov := fr.pop()
-	if ov.Kind != types.KObj {
-		for _, a := range args {
-			e.Heap.DecRef(a)
-		}
-		e.Heap.DecRef(ov)
-		return runtime.Null(), runtime.NewError("method call on non-object (%s)", ov.Type())
-	}
-	obj := ov.O
-	id, ok := obj.Class.LookupMethod(lowerName(name))
-	if !ok {
-		e.Heap.DecRef(ov)
-		if lowerName(name) == "__construct" {
-			for _, a := range args {
-				e.Heap.DecRef(a)
-			}
-			return runtime.Null(), nil // implicit default constructor
-		}
-		for _, a := range args {
-			e.Heap.DecRef(a)
-		}
-		return runtime.Null(), runtime.NewError("call to undefined method %s::%s()",
-			obj.Class.Name, name)
-	}
-	ret, err := e.Call(e.Unit.Funcs[id], obj, args)
-	e.Heap.DecRef(ov)
-	return ret, err
-}
-
-// VerifyParamHint re-checks a parameter's shallow type hint (used by
-// the JIT's VerifyParam helper).
-func (e *Env) VerifyParamHint(fr *Frame, idx int) error { return e.verifyParam(fr, idx) }
-
-func (e *Env) verifyParam(fr *Frame, idx int) error {
-	p := fr.Fn.Params[idx]
-	v := fr.Locals[idx]
-	if p.Nullable && v.IsNull() {
-		return nil
-	}
-	ok := false
-	switch p.TypeHint {
-	case "int":
-		ok = v.Kind == types.KInt
-	case "float":
-		ok = v.Kind == types.KDbl || v.Kind == types.KInt
-		if v.Kind == types.KInt {
-			fr.Locals[idx] = runtime.Dbl(float64(v.I)) // PHP widens
-		}
-	case "string":
-		ok = v.Kind == types.KStr
-	case "bool":
-		ok = v.Kind == types.KBool
-	case "array":
-		ok = v.Kind == types.KArr
-	case "":
-		ok = true
-	default: // class hint
-		ok = v.Kind == types.KObj && v.O.Class.IsSubclassOf(p.TypeHint)
-	}
-	if !ok {
-		return runtime.NewError("argument %d ($%s) of %s() must be of type %s, %s given",
-			idx+1, p.Name, fr.Fn.FullName(), p.TypeHint, v.Type())
-	}
-	return nil
 }

@@ -68,10 +68,18 @@ func (fr *Frame) pop() runtime.Value {
 	return v
 }
 
+// popN pops the top n values, preserving their stack order.
+func (fr *Frame) popN(n int) []runtime.Value {
+	vs := make([]runtime.Value, n)
+	copy(vs, fr.Stack[len(fr.Stack)-n:])
+	fr.Stack = fr.Stack[:len(fr.Stack)-n]
+	return vs
+}
+
 func (fr *Frame) top() runtime.Value { return fr.Stack[len(fr.Stack)-1] }
 
-// release drops all frame-owned references (on return or unwind).
-func (fr *Frame) release(e *Env) {
+// Release drops all frame-owned references (on return or unwind).
+func (fr *Frame) Release(e *Env) {
 	for _, v := range fr.Stack {
 		e.Heap.DecRef(v)
 	}

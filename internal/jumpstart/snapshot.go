@@ -146,16 +146,6 @@ func (f *FuncProfile) TotalCount() uint64 {
 	return n
 }
 
-// FuncByIdentity finds a function profile by (name, hash).
-func (s *Snapshot) FuncByIdentity(name string, hash uint64) *FuncProfile {
-	for i := range s.Funcs {
-		if s.Funcs[i].Name == name && s.Funcs[i].Hash == hash {
-			return &s.Funcs[i]
-		}
-	}
-	return nil
-}
-
 // identity is the merge key of a function profile.
 type identity struct {
 	name string

@@ -43,21 +43,6 @@ func (t Token) String() string {
 	}
 }
 
-// Keywords of the subset.
-var keywords = map[string]bool{
-	"function": true, "return": true, "if": true, "else": true, "elseif": true,
-	"while": true, "for": true, "foreach": true, "as": true, "break": true,
-	"continue": true, "class": true, "extends": true, "implements": true,
-	"interface": true, "new": true, "public": true, "private": true,
-	"protected": true, "static": true, "echo": true, "true": true,
-	"false": true, "null": true, "throw": true, "try": true, "catch": true,
-	"instanceof": true, "switch": true, "case": true, "default": true,
-	"unset": true, "isset": true, "and": true, "or": true, "xor": true,
-}
-
-// IsKeyword reports whether s is a reserved word.
-func IsKeyword(s string) bool { return keywords[strings.ToLower(s)] }
-
 // Lexer scans source text into tokens.
 type Lexer struct {
 	src  string

@@ -11,22 +11,15 @@ import "repro/internal/vasm"
 
 // Meter accumulates simulated cycles; it is shared with the
 // interpreter so execution-mode comparisons are apples to apples.
+// Each worker owns one and charges it on every instruction, so the
+// padding keeps meters of concurrent workers off shared cache lines.
 type Meter struct {
 	Cycles uint64
-	// ByOp attributes machine cycles per vasm opcode (diagnostics).
-	ByOp [64]uint64
+	_      [120]byte
 }
 
 // Charge adds cycles.
 func (m *Meter) Charge(n uint64) { m.Cycles += n }
-
-// ChargeOp attributes cycles to an opcode bucket.
-func (m *Meter) ChargeOp(op vasm.Op, n uint64) {
-	m.Cycles += n
-	if int(op) < len(m.ByOp) {
-		m.ByOp[op] += n
-	}
-}
 
 // Instruction base costs (cycles).
 func opCost(op vasm.Op) uint64 {

@@ -394,15 +394,8 @@ func (m *Machine) exec(code *mcode.Code, act *activation) (out Outcome) {
 					}
 				}
 			}
-			if useHandlerTable {
-				if h := hotHandlers[in.Op]; h != nil {
-					h(m, code, act, in)
-					ip++
-					continue
-				}
-			}
 		} else {
-			m.Meter.ChargeOp(in.Op, opCost(in.Op)+m.Fetch.Fetch(code.AddrOf(ip)))
+			m.Meter.Charge(opCost(in.Op) + m.Fetch.Fetch(code.AddrOf(ip)))
 		}
 
 		switch in.Op {
@@ -549,13 +542,9 @@ func (m *Machine) exec(code *mcode.Code, act *activation) (out Outcome) {
 			if b == 0 {
 				if fast {
 					settleRun(m.Meter, code, runStart, ip)
-					runStart = ip + 1
 				}
-				out := m.throwTo(code, act, in.Target1,
-					runtime.NewError("division by zero"), guardFails)
-				if out != nil {
-					return *out
-				}
+				_, err := interp.Binop(h, hhbc.OpDiv, act.get(in.A), act.get(in.B))
+				return m.throwTo(code, act, in.Target1, err, guardFails)
 			}
 			act.set(in.D, runtime.Dbl(act.get(in.A).D/b))
 		case vasm.NegD:
@@ -577,9 +566,7 @@ func (m *Machine) exec(code *mcode.Code, act *activation) (out Outcome) {
 		case vasm.DecRef:
 			h.DecRef(act.get(in.A))
 
-		// Non-branching superinstructions normally dispatch through the
-		// handler table; these cases keep the classic path able to
-		// execute fused code (e.g. metadata-free replay paths).
+		// Non-branching superinstructions.
 		case vasm.LdImmAddI:
 			m.setImm(act, vasm.Reg(in.Target2), code.Imms[in.I64>>16])
 			act.set(in.D, runtime.Int(act.get(in.A).I+act.get(in.B).I))
@@ -613,76 +600,57 @@ func (m *Machine) exec(code *mcode.Code, act *activation) (out Outcome) {
 			act.get(in.A).O.SetPropSlot(h, int(in.I64), act.get(in.B))
 
 		case vasm.LdPropIC:
+			// A non-object receiver takes the generic path, which raises
+			// the interpreter's error.
 			ov := act.get(in.A)
-			if ov.Kind != types.KObj {
-				if fast {
-					settleRun(m.Meter, code, runStart, ip)
-					runStart = ip + 1
+			if ov.Kind == types.KObj {
+				if slot, ok := m.probePropIC(code, ip, ov.O, in.Str); ok {
+					p := ov.O.GetPropSlot(slot)
+					if p.Kind == types.KUninit {
+						p = runtime.Null()
+					}
+					h.IncRef(p)
+					act.set(in.D, p)
+					break
 				}
-				out := m.throwTo(code, act, in.Target1,
-					runtime.NewError("property access on non-object"), guardFails)
-				if out != nil {
-					return *out
-				}
-				continue
-			}
-			if slot, ok := m.probePropIC(code, ip, ov.O, in.Str); ok {
-				p := ov.O.GetPropSlot(slot)
-				if p.Kind == types.KUninit {
-					p = runtime.Null()
-				}
-				h.IncRef(p)
-				act.set(in.D, p)
-			} else {
 				// Megamorphic site, shapeless receiver, or a property
 				// the shape does not describe: generic by-name path.
 				m.Shapes.GenericPropCalls.Add(1)
-				act.set(in.D, runtime.GetPropNamed(h, ov.O, in.Str))
 			}
+			p, err := interp.GetProp(h, ov, in.Str)
+			if err != nil {
+				if fast {
+					settleRun(m.Meter, code, runStart, ip)
+				}
+				return m.throwTo(code, act, in.Target1, err, guardFails)
+			}
+			act.set(in.D, p)
 		case vasm.StPropIC:
 			ov, val := act.get(in.A), act.get(in.B)
-			if ov.Kind != types.KObj {
-				h.DecRef(val)
+			if ov.Kind == types.KObj {
+				if slot, ok := m.probePropIC(code, ip, ov.O, in.Str); ok {
+					// SetPropSlot maintains the shape on retyping stores,
+					// so the cached slot stays valid across kind changes.
+					ov.O.SetPropSlot(h, slot, val)
+					break
+				}
+				m.Shapes.GenericPropCalls.Add(1)
+			}
+			if err := interp.SetProp(h, ov, in.Str, val); err != nil {
 				if fast {
 					settleRun(m.Meter, code, runStart, ip)
-					runStart = ip + 1
 				}
-				out := m.throwTo(code, act, in.Target1,
-					runtime.NewError("property write on non-object"), guardFails)
-				if out != nil {
-					return *out
-				}
-				continue
-			}
-			if slot, ok := m.probePropIC(code, ip, ov.O, in.Str); ok {
-				// SetPropSlot maintains the shape on retyping stores, so
-				// the cached slot stays valid across kind changes.
-				ov.O.SetPropSlot(h, slot, val)
-			} else {
-				m.Shapes.GenericPropCalls.Add(1)
-				if err := runtime.SetPropNamed(h, ov.O, in.Str, val); err != nil {
-					if fast {
-						settleRun(m.Meter, code, runStart, ip)
-						runStart = ip + 1
-					}
-					out := m.throwTo(code, act, in.Target1,
-						runtime.NewError("%s", err.Error()), guardFails)
-					if out != nil {
-						return *out
-					}
-					continue
-				}
+				return m.throwTo(code, act, in.Target1, err, guardFails)
 			}
 		case vasm.LdThis:
-			if fr.This == nil {
+			this, err := fr.LoadThis()
+			if err != nil {
 				if fast {
 					settleRun(m.Meter, code, runStart, ip)
 				}
-				out := m.throwTo(code, act, -1,
-					runtime.NewError("using $this outside object context"), guardFails)
-				return *out
+				return m.throwTo(code, act, -1, err, guardFails)
 			}
-			act.set(in.D, runtime.ObjV(fr.This))
+			act.set(in.D, this)
 
 		case vasm.Helper:
 			hid, extra := vasm.UnpackHelper(in.I64)
@@ -691,13 +659,8 @@ func (m *Machine) exec(code *mcode.Code, act *activation) (out Outcome) {
 			if err != nil {
 				if fast {
 					settleRun(m.Meter, code, runStart, ip)
-					runStart = ip + 1
 				}
-				out := m.throwTo(code, act, in.Target1, err, guardFails)
-				if out != nil {
-					return *out
-				}
-				continue
+				return m.throwTo(code, act, in.Target1, err, guardFails)
 			}
 			if in.D != vasm.InvalidReg {
 				act.set(in.D, res)
@@ -708,13 +671,8 @@ func (m *Machine) exec(code *mcode.Code, act *activation) (out Outcome) {
 			if err != nil {
 				if fast {
 					settleRun(m.Meter, code, runStart, ip)
-					runStart = ip + 1
 				}
-				out := m.throwTo(code, act, in.Target1, err, guardFails)
-				if out != nil {
-					return *out
-				}
-				continue
+				return m.throwTo(code, act, in.Target1, err, guardFails)
 			}
 			m.Meter.Charge(callReturnCost)
 			if in.D != vasm.InvalidReg {
@@ -864,7 +822,7 @@ func (m *Machine) exec(code *mcode.Code, act *activation) (out Outcome) {
 			}
 			m.Meter.Charge(uint64(2 * len(fr.Locals))) // frame teardown
 			fr.Stack = fr.Stack[:0]
-			frameRelease(m.Env, fr)
+			fr.Release(m.Env)
 			return Outcome{Kind: Returned, Value: v, GuardFails: guardFails,
 				EntryPC: act.entryPC}
 
@@ -1111,9 +1069,8 @@ func (m *Machine) jumpOrExit(code *mcode.Code, act *activation, target int, guar
 }
 
 // throwTo routes a guest error through the instruction's catch stub,
-// materializing frame state; returns the final outcome (nil never —
-// kept pointer-shaped for call-site brevity).
-func (m *Machine) throwTo(code *mcode.Code, act *activation, stub int, err error, guardFails int) *Outcome {
+// materializing frame state, and returns the final outcome.
+func (m *Machine) throwTo(code *mcode.Code, act *activation, stub int, err error, guardFails int) Outcome {
 	var ex *vasm.ExitInfo
 	if stub >= 0 {
 		if idx, ok := code.BlockIndex[stub]; ok && idx < len(code.Instrs) &&
@@ -1121,8 +1078,7 @@ func (m *Machine) throwTo(code *mcode.Code, act *activation, stub int, err error
 			ex = code.Instrs[idx].Ex
 		}
 	}
-	out := m.takeExit(act, ex, Threw, err, guardFails)
-	return &out
+	return m.takeExit(act, ex, Threw, err, guardFails)
 }
 
 // takeExit materializes VM state per the exit descriptor.
@@ -1179,20 +1135,6 @@ func (m *Machine) takeExit(act *activation, ex *vasm.ExitInfo, kind OutcomeKind,
 	}
 	fr.PC = ex.BCOff
 	return out
-}
-
-// frameRelease mirrors interp's frame teardown.
-func frameRelease(env *interp.Env, fr *interp.Frame) {
-	for i, v := range fr.Locals {
-		env.Heap.DecRef(v)
-		fr.Locals[i] = runtime.Uninit()
-	}
-	for _, it := range fr.Iters {
-		if it != nil {
-			env.Heap.DecRef(runtime.ArrV(it.Arr()))
-		}
-	}
-	fr.Iters = nil
 }
 
 func cmpI(cond, a, b int64) bool {

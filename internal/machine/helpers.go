@@ -1,9 +1,8 @@
 package machine
 
 import (
-	"strings"
-
 	"repro/internal/hhbc"
+	"repro/internal/hhir"
 	"repro/internal/interp"
 	"repro/internal/mcode"
 	"repro/internal/runtime"
@@ -11,9 +10,13 @@ import (
 	"repro/internal/vasm"
 )
 
-// runHelper implements the out-of-line runtime helpers. Reference
-// conventions match the HHIR lowering: results are owned; helpers do
-// not consume argument references unless documented.
+// runHelper implements the out-of-line runtime helpers by calling
+// the interpreter's op implementations (interp/ops.go), so JITed code
+// and the interpreter share one definition of guest semantics. Only
+// specializations the JIT owns stay here: bitwise instanceof and the
+// string-compare condition codes. Reference conventions match the
+// HHIR lowering: results are owned; helpers do not consume argument
+// references unless documented (HBinop consumes both operands).
 func (m *Machine) runHelper(act *activation, hid vasm.HelperID, extra int64, in *vasm.Instr) (runtime.Value, error) {
 	h := m.Env.Heap
 	fr := act.fr
@@ -21,29 +24,29 @@ func (m *Machine) runHelper(act *activation, hid vasm.HelperID, extra int64, in 
 
 	switch hid {
 	case vasm.HConcat:
-		return runtime.Concat(arg(0), arg(1)), nil
+		return interp.Binop(h, hhbc.OpConcat, arg(0), arg(1))
 	case vasm.HBinop:
-		return m.binop(hhbc.Op(extra), arg(0), arg(1))
+		return interp.BinopConsume(h, hhbc.Op(extra), arg(0), arg(1))
 	case vasm.HEqAny:
-		r := runtime.LooseEq(arg(0), arg(1))
-		return runtime.Bool(r == (extra == 0)), nil
+		return interp.Binop(h, negatedIf(extra, hhbc.OpEq, hhbc.OpNeq), arg(0), arg(1))
 	case vasm.HSameAny:
-		r := runtime.StrictEq(arg(0), arg(1))
-		return runtime.Bool(r == (extra == 0)), nil
+		return interp.Binop(h, negatedIf(extra, hhbc.OpSame, hhbc.OpNSame), arg(0), arg(1))
 	case vasm.HDivNum:
-		return runtime.Div(arg(0), arg(1))
+		return interp.Binop(h, hhbc.OpDiv, arg(0), arg(1))
 	case vasm.HModInt:
-		return runtime.Mod(arg(0), arg(1))
+		return interp.Binop(h, hhbc.OpMod, arg(0), arg(1))
 	case vasm.HToStr:
-		v := arg(0)
-		if v.Kind == types.KStr {
-			h.IncRef(v)
-			return v, nil
-		}
-		return runtime.NewStr(v.ToString()), nil
+		return interp.Unop(h, hhbc.OpCastString, arg(0)), nil
 	case vasm.HCmpStr:
 		c := runtime.Cmp(arg(0), arg(1))
 		return runtime.Bool(cmpI(extra&0xff, int64(c), 0)), nil
+	case vasm.HConvToBoolGeneric:
+		return interp.Unop(h, hhbc.OpCastBool, arg(0)), nil
+	case vasm.HConvToIntGeneric:
+		return interp.Unop(h, hhbc.OpCastInt, arg(0)), nil
+	case vasm.HConvToDblGeneric:
+		return interp.Unop(h, hhbc.OpCastDouble, arg(0)), nil
+
 	case vasm.HNewArr:
 		return runtime.ArrV(runtime.NewMixed()), nil
 	case vasm.HNewPacked:
@@ -51,136 +54,56 @@ func (m *Machine) runHelper(act *activation, hid vasm.HelperID, extra int64, in 
 		for i := range in.Args {
 			elems[i] = arg(i)
 		}
-		return runtime.ArrV(runtime.NewPacked(elems)), nil
+		return interp.NewPacked(elems), nil
 	case vasm.HAddElem:
-		arrv, key, val := arg(0), arg(1), arg(2)
-		if arrv.Kind != types.KArr {
-			return runtime.Null(), runtime.NewError("AddElem on non-array")
-		}
-		return runtime.ArrV(arrv.A.Set(h, key, val)), nil
+		return interp.AddElem(h, arg(0), arg(1), arg(2))
 	case vasm.HAddNewElem:
-		arrv, val := arg(0), arg(1)
-		if arrv.Kind != types.KArr {
-			return runtime.Null(), runtime.NewError("AddNewElem on non-array")
-		}
-		return runtime.ArrV(arrv.A.Append(h, val)), nil
+		return interp.AddNewElem(h, arg(0), arg(1))
 	case vasm.HArrGetGeneric:
-		arrv, key := arg(0), arg(1)
-		if arrv.Kind != types.KArr {
-			return runtime.Null(), runtime.NewError("cannot index non-array")
-		}
-		el, _ := arrv.A.Get(key)
-		if el.Kind == types.KUninit {
-			el = runtime.Null()
-		}
-		h.IncRef(el)
-		return el, nil
+		return interp.ArrGet(h, arg(0), arg(1), in.Str)
 	case vasm.HArrSetLocal:
-		key, val := arg(0), arg(1)
-		lv := fr.Locals[extra]
-		if lv.Kind == types.KUninit || lv.Kind == types.KNull {
-			lv = runtime.ArrV(runtime.NewMixed())
-			fr.Locals[extra] = lv
-		}
-		if lv.Kind != types.KArr {
-			h.DecRef(val)
-			return runtime.Null(), runtime.NewError("cannot write index of non-array")
-		}
-		fr.Locals[extra] = runtime.ArrV(lv.A.Set(h, key, val))
-		return runtime.Null(), nil
+		return runtime.Null(), fr.ArrSetL(h, int(extra), arg(0), arg(1))
 	case vasm.HArrAppendLocal:
-		val := arg(0)
-		lv := fr.Locals[extra]
-		if lv.Kind == types.KUninit || lv.Kind == types.KNull {
-			lv = runtime.ArrV(runtime.NewPacked(nil))
-			fr.Locals[extra] = lv
-		}
-		if lv.Kind != types.KArr {
-			h.DecRef(val)
-			return runtime.Null(), runtime.NewError("cannot append to non-array")
-		}
-		fr.Locals[extra] = runtime.ArrV(lv.A.Append(h, val))
-		return runtime.Null(), nil
+		return runtime.Null(), fr.ArrAppendL(h, int(extra), arg(0))
 	case vasm.HArrUnsetLocal:
-		key := arg(0)
-		lv := fr.Locals[extra]
-		if lv.Kind == types.KArr {
-			fr.Locals[extra] = runtime.ArrV(lv.A.Remove(h, key))
-		}
+		fr.ArrUnsetL(h, int(extra), arg(0))
 		return runtime.Null(), nil
 	case vasm.HAKExistsLocal:
-		key := arg(0)
-		lv := fr.Locals[extra]
-		ok := false
-		if lv.Kind == types.KArr {
-			_, ok = lv.A.Get(key)
-		}
-		return runtime.Bool(ok), nil
+		return runtime.Bool(fr.AKExistsL(int(extra), arg(0))), nil
 
 	case vasm.HIterInit:
 		iter, slot := vasm.UnpackIterSlot(extra)
-		lv := fr.Locals[slot]
-		if lv.Kind != types.KArr || lv.A.Len() == 0 {
-			return runtime.Bool(false), nil
-		}
-		h.IncRef(lv)
-		setFrameIter(fr, iter, runtime.NewIter(lv.A))
-		return runtime.Bool(true), nil
+		return runtime.Bool(fr.IterInit(h, iter, int(slot))), nil
 	case vasm.HIterNext:
-		it := frameIter(fr, int32(extra))
-		if it != nil && it.Next() {
+		// The loop exit frees the iterator here rather than in a
+		// following IterFree.
+		if fr.IterNext(int32(extra)) {
 			return runtime.Bool(true), nil
 		}
-		if it != nil {
-			h.DecRef(runtime.ArrV(it.Arr()))
-			setFrameIter(fr, int32(extra), nil)
-		}
+		fr.IterFree(h, int32(extra))
 		return runtime.Bool(false), nil
 	case vasm.HIterKey:
-		it := frameIter(fr, int32(extra))
-		k := it.Key()
-		h.IncRef(k)
-		return k, nil
+		return fr.IterKey(h, int32(extra)), nil
 	case vasm.HIterValue:
-		it := frameIter(fr, int32(extra))
-		v := it.Val()
-		if v.Kind == types.KUninit {
-			v = runtime.Null()
-		}
-		h.IncRef(v)
-		return v, nil
+		return fr.IterValue(h, int32(extra)), nil
 	case vasm.HIterFree:
-		it := frameIter(fr, int32(extra))
-		if it != nil {
-			h.DecRef(runtime.ArrV(it.Arr()))
-			setFrameIter(fr, int32(extra), nil)
-		}
+		fr.IterFree(h, int32(extra))
 		return runtime.Null(), nil
 
 	case vasm.HNewObj:
-		cls, ok := m.Env.Classes[in.Str]
-		if !ok {
-			return runtime.Null(), runtime.NewError("class %s not found", in.Str)
-		}
-		return runtime.ObjV(m.Env.NewInstance(cls)), nil
+		return m.Env.NewObj(in.Str)
 	case vasm.HLdPropGeneric:
-		ov := arg(0)
-		if ov.Kind != types.KObj {
-			return runtime.Null(), runtime.NewError("property access on non-object")
+		v, err := interp.GetProp(h, arg(0), in.Str)
+		if err == nil {
+			m.Shapes.GenericPropCalls.Add(1)
 		}
-		m.Shapes.GenericPropCalls.Add(1)
-		return runtime.GetPropNamed(h, ov.O, in.Str), nil
+		return v, err
 	case vasm.HStPropGeneric:
-		ov, val := arg(0), arg(1)
-		if ov.Kind != types.KObj {
-			h.DecRef(val)
-			return runtime.Null(), runtime.NewError("property write on non-object")
+		ov := arg(0)
+		if ov.Kind == types.KObj {
+			m.Shapes.GenericPropCalls.Add(1)
 		}
-		m.Shapes.GenericPropCalls.Add(1)
-		if err := runtime.SetPropNamed(h, ov.O, in.Str, val); err != nil {
-			return runtime.Null(), runtime.NewError("%s", err.Error())
-		}
-		return runtime.Null(), nil
+		return runtime.Null(), interp.SetProp(h, ov, in.Str, arg(1))
 	case vasm.HInstanceOf:
 		v := arg(0)
 		if extra > 0 {
@@ -191,117 +114,26 @@ func (m *Machine) runHelper(act *activation, hid vasm.HelperID, extra int64, in 
 		}
 		// Slow path: hierarchy walk by name.
 		m.Meter.Charge(instanceOfWalkCost)
-		r := v.Kind == types.KObj && v.O.Class.IsSubclassOf(in.Str)
-		return runtime.Bool(r), nil
+		return runtime.Bool(interp.InstanceOf(v, in.Str)), nil
 	case vasm.HVerifyParam:
-		return runtime.Null(), m.verifyParam(fr, int(extra), in.Str)
+		fn, idx, slot := hhir.UnpackParamSite(extra)
+		return runtime.Null(), fr.VerifyParam(m.Env.Unit.Funcs[fn], idx, slot)
 	case vasm.HPrint:
-		if m.Env.Out != nil {
-			_, _ = m.Env.Out.Write([]byte(arg(0).ToString()))
-		}
+		m.Env.Print(arg(0))
 		return runtime.Int(1), nil
 	case vasm.HThrow:
-		v := arg(0)
-		if v.Kind != types.KObj {
-			h.DecRef(v)
-			return runtime.Null(), runtime.NewError("can only throw objects")
-		}
-		return runtime.Null(), runtime.Thrown(v.O)
-	case vasm.HConvToBoolGeneric:
-		return runtime.Bool(arg(0).Bool()), nil
-	case vasm.HConvToIntGeneric:
-		return runtime.Int(arg(0).ToInt()), nil
-	case vasm.HConvToDblGeneric:
-		return runtime.Dbl(arg(0).ToDbl()), nil
+		return runtime.Null(), interp.Throw(h, arg(0))
 	default:
 		return runtime.Null(), runtime.NewError("machine: unknown helper %d", hid)
 	}
 }
 
-// binop implements BinopGeneric.
-func (m *Machine) binop(op hhbc.Op, a, b runtime.Value) (runtime.Value, error) {
-	switch op {
-	case hhbc.OpAdd:
-		return runtime.Add(m.Env.Heap, a, b)
-	case hhbc.OpSub:
-		return runtime.Sub(a, b)
-	case hhbc.OpMul:
-		return runtime.Mul(a, b)
-	case hhbc.OpDiv:
-		return runtime.Div(a, b)
-	case hhbc.OpMod:
-		return runtime.Mod(a, b)
-	case hhbc.OpNeg:
-		if a.Kind == types.KDbl {
-			return runtime.Dbl(-a.D), nil
-		}
-		return runtime.Int(-a.ToInt()), nil
-	case hhbc.OpGt:
-		return runtime.Bool(runtime.Cmp(a, b) > 0), nil
-	case hhbc.OpGte:
-		return runtime.Bool(runtime.Cmp(a, b) >= 0), nil
-	case hhbc.OpLt:
-		return runtime.Bool(runtime.Cmp(a, b) < 0), nil
-	case hhbc.OpLte:
-		return runtime.Bool(runtime.Cmp(a, b) <= 0), nil
-	case hhbc.OpEq:
-		return runtime.Bool(runtime.LooseEq(a, b)), nil
-	case hhbc.OpNeq:
-		return runtime.Bool(!runtime.LooseEq(a, b)), nil
-	default:
-		return runtime.Null(), runtime.NewError("machine: bad generic binop %s", op)
+// negatedIf picks the negated op when a helper's extra flag is set.
+func negatedIf(extra int64, op, neg hhbc.Op) hhbc.Op {
+	if extra != 0 {
+		return neg
 	}
-}
-
-// verifyParam re-checks a shallow type hint against a frame slot. It
-// must not consult fr.Fn (the slot may belong to an inlined callee).
-func (m *Machine) verifyParam(fr *interp.Frame, slot int, hint string) error {
-	nullable := strings.HasPrefix(hint, "?")
-	hint = strings.TrimPrefix(hint, "?")
-	v := fr.Locals[slot]
-	if nullable && v.IsNull() {
-		return nil
-	}
-	ok := false
-	switch hint {
-	case "int":
-		ok = v.Kind == types.KInt
-	case "float":
-		ok = v.Kind == types.KDbl || v.Kind == types.KInt
-		if v.Kind == types.KInt {
-			fr.Locals[slot] = runtime.Dbl(float64(v.I))
-		}
-	case "string":
-		ok = v.Kind == types.KStr
-	case "bool":
-		ok = v.Kind == types.KBool
-	case "array":
-		ok = v.Kind == types.KArr
-	case "":
-		ok = true
-	default:
-		ok = v.Kind == types.KObj && v.O.Class.IsSubclassOf(hint)
-	}
-	if !ok {
-		return runtime.NewError("argument at slot %d must be of type %s, %s given",
-			slot, hint, v.Type())
-	}
-	return nil
-}
-
-// frameIter / setFrameIter manipulate the frame's iterator slots.
-func frameIter(fr *interp.Frame, id int32) *runtime.Iter {
-	if int(id) < len(fr.Iters) {
-		return fr.Iters[id]
-	}
-	return nil
-}
-
-func setFrameIter(fr *interp.Frame, id int32, it *runtime.Iter) {
-	for int(id) >= len(fr.Iters) {
-		fr.Iters = append(fr.Iters, nil)
-	}
-	fr.Iters[id] = it
+	return op
 }
 
 // takeArgs copies the call's argument registers into a pooled scratch
@@ -378,27 +210,16 @@ func (m *Machine) runCall(code *mcode.Code, ip int, act *activation, in *vasm.In
 		return ret, err
 	case vasm.CallBuiltin:
 		args := m.takeArgs(act, in.Args, 0)
-		if b, ok := runtime.LookupBuiltin(in.Str); ok {
-			m.Meter.Charge(b.Cost)
-			ctx := &runtime.BuiltinCtx{Heap: env.Heap, Out: env.Out}
-			ret, err := b.Fn(ctx, args)
-			for _, a := range args {
-				env.Heap.DecRef(a)
-			}
-			m.putArgs(args)
-			return ret, err
-		}
-		// A user function shadowing an unresolved direct call.
-		if f, ok := env.Unit.FuncByName(in.Str); ok {
-			ret, _, err := m.CallGuest(f, nil, args, nil)
-			m.putArgs(args)
-			return ret, err
-		}
-		for _, a := range args {
-			env.Heap.DecRef(a)
+		f, b, err := env.ResolveCall(hhbc.Op(in.I64), in.Str, args)
+		var ret runtime.Value
+		switch {
+		case b != nil:
+			ret, err = env.CallBuiltin(m.Meter, b, args)
+		case f != nil:
+			ret, _, err = m.CallGuest(f, nil, args, nil)
 		}
 		m.putArgs(args)
-		return runtime.Null(), runtime.NewError("call to undefined function %s()", in.Str)
+		return ret, err
 	case vasm.CallMethodD:
 		obj := act.get(in.Args[0])
 		args := m.takeArgs(act, in.Args, 1)
@@ -413,39 +234,11 @@ func (m *Machine) runCall(code *mcode.Code, ip int, act *activation, in *vasm.In
 	case vasm.CallMethodC:
 		obj := act.get(in.Args[0])
 		args := m.takeArgs(act, in.Args, 1)
-		if obj.Kind != types.KObj {
-			for _, a := range args {
-				env.Heap.DecRef(a)
-			}
+		f, err := m.lookupMethod(obj, in, args)
+		if f == nil {
 			m.putArgs(args)
-			return runtime.Null(), runtime.NewError("method call on non-object")
+			return runtime.Null(), err
 		}
-		// Inline cache: monomorphic per call site (site -1 = caching
-		// disabled, full lookup every call).
-		var funcID int
-		if ent, ok := m.methodCache[in.I64]; in.I64 >= 0 && ok && ent.cls == obj.O.Class {
-			m.Meter.Charge(methodCacheHitCost)
-			funcID = ent.funcID
-		} else {
-			m.Meter.Charge(methodLookupCost)
-			id, ok := obj.O.Class.LookupMethod(in.Str)
-			if !ok {
-				for _, a := range args {
-					env.Heap.DecRef(a)
-				}
-				m.putArgs(args)
-				if in.Str == "__construct" {
-					return runtime.Null(), nil
-				}
-				return runtime.Null(), runtime.NewError("call to undefined method %s::%s()",
-					obj.O.Class.Name, in.Str)
-			}
-			if in.I64 >= 0 {
-				m.methodCache[in.I64] = methodCacheEnt{cls: obj.O.Class, funcID: id}
-			}
-			funcID = id
-		}
-		f := env.Unit.Funcs[funcID]
 		if m.Counters != nil {
 			m.Counters.RecordCall(act.fr.Fn.ID, f.ID)
 		}
@@ -454,4 +247,23 @@ func (m *Machine) runCall(code *mcode.Code, ip int, act *activation, in *vasm.In
 		return ret, err
 	}
 	return runtime.Null(), runtime.NewError("machine: bad call op")
+}
+
+// lookupMethod resolves a CallMethodC target through the site's
+// monomorphic inline cache (site -1 = caching disabled, full lookup
+// every call). It follows interp.ResolveMethod's contract: a nil
+// function means the arguments were released.
+func (m *Machine) lookupMethod(obj runtime.Value, in *vasm.Instr, args []runtime.Value) (*hhbc.Func, error) {
+	if obj.Kind == types.KObj {
+		if ent, ok := m.methodCache[in.I64]; in.I64 >= 0 && ok && ent.cls == obj.O.Class {
+			m.Meter.Charge(methodCacheHitCost)
+			return m.Env.Unit.Funcs[ent.funcID], nil
+		}
+		m.Meter.Charge(methodLookupCost)
+	}
+	f, err := m.Env.ResolveMethod(obj, in.Str, args)
+	if f != nil && in.I64 >= 0 {
+		m.methodCache[in.I64] = methodCacheEnt{cls: obj.O.Class, funcID: f.ID}
+	}
+	return f, err
 }

@@ -101,15 +101,6 @@ func Concat(a, b Value) Value {
 	return NewStr(a.ToString() + b.ToString())
 }
 
-// ConcatMany concatenates n values (used by interpolation lowering).
-func ConcatMany(vals []Value) Value {
-	var sb strings.Builder
-	for _, v := range vals {
-		sb.WriteString(v.ToString())
-	}
-	return NewStr(sb.String())
-}
-
 // Cmp returns -1, 0, or 1 with PHP's loose comparison semantics
 // (numeric strings compare numerically, etc. — simplified).
 func Cmp(a, b Value) int {

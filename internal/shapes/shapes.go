@@ -100,8 +100,7 @@ type Tree struct {
 	interned map[string]*Shape
 	// byID indexes shapes by ID-1 (IDs are dense from 1); the compiler
 	// resolves profiled shape IDs back to layouts through it.
-	byID  []*Shape
-	roots []*Shape
+	byID []*Shape
 }
 
 // NewTree creates an empty shape universe.
@@ -116,14 +115,6 @@ func (t *Tree) Count() int {
 	return len(t.interned)
 }
 
-// Roots returns the root shapes in creation order (diagnostics,
-// determinism tests).
-func (t *Tree) Roots() []*Shape {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return append([]*Shape(nil), t.roots...)
-}
-
 // Root interns the root shape for a declared property layout (names
 // in slot order with their default-value kinds). Classes with
 // identical flattened layouts receive the same root.
@@ -131,7 +122,6 @@ func (t *Tree) Root(slots []Slot) *Shape {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	s := t.internLocked(slots)
-	t.roots = append(t.roots, s)
 	return s
 }
 

@@ -19,7 +19,7 @@ const (
 	HNewPacked
 	HAddElem
 	HAddNewElem
-	HArrGetGeneric
+	HArrGetGeneric // Str = local name ("" for a stack operand)
 	HArrGetPackedMiss
 	HArrSetLocal    // extra = local slot
 	HArrAppendLocal // extra = local slot
@@ -34,7 +34,7 @@ const (
 	HLdPropGeneric  // Str = prop
 	HStPropGeneric  // Str = prop
 	HInstanceOf     // Str = class
-	HVerifyParam    // extra = slot; Str = hint
+	HVerifyParam    // extra = packed (func id, param index, slot)
 	HPrint
 	HThrow
 	HConvToBoolGeneric

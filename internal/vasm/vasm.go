@@ -90,7 +90,7 @@ const (
 	CallFunc    // I64 = callee func id; Args = args; Str = name
 	CallMethodD // I64 = callee func id; Args[0] = receiver
 	CallMethodC // Str = method name; I64 = inline-cache site id; Args[0] = receiver
-	CallBuiltin // Str = builtin name
+	CallBuiltin // Str = name; I64 = the call site's hhbc op (FCallD or FCallBuiltin)
 
 	// Profiling.
 	CountInc     // profile counter I64
@@ -139,7 +139,7 @@ var opNames = [...]string{
 	LdProp: "ldprop", StProp: "stprop", LdThis: "ldthis",
 	GuardShape: "guardshape", LdPropIC: "ldpropic", StPropIC: "stpropic",
 	ProfPropShape: "profpropshape",
-	Helper: "helper", CallFunc: "callfunc", CallMethodD: "callmethodd",
+	Helper:        "helper", CallFunc: "callfunc", CallMethodD: "callmethodd",
 	CallMethodC: "callmethodc", CallBuiltin: "callbuiltin",
 	CountInc: "countinc", ProfCallSite: "profcallsite",
 	Jmp: "jmp", Jcc: "jcc", JmpTable: "jmptable", Ret: "ret", Exit: "exit", BindJmp: "bindjmp",

@@ -162,6 +162,16 @@ func TestHelperPacking(t *testing.T) {
 	if it != 3 || slot != 17 {
 		t.Errorf("iter roundtrip: %d %d", it, slot)
 	}
+	// VerifyParam's widest site survives the helper's 48-bit extra.
+	const fnMax, idxMax, slotMax = 1<<23 - 1, 1<<8 - 1, 1<<16 - 1
+	site, ok := hhir.PackParamSite(fnMax, idxMax, slotMax)
+	_, extra = vasm.UnpackHelper(vasm.PackHelper(vasm.HVerifyParam, site))
+	if fn, idx, slot := hhir.UnpackParamSite(extra); !ok || fn != fnMax || idx != idxMax || slot != slotMax {
+		t.Errorf("param site roundtrip: ok=%v %d %d %d", ok, fn, idx, slot)
+	}
+	if _, ok := hhir.PackParamSite(fnMax+1, 0, 0); ok {
+		t.Error("out-of-range param site packed")
+	}
 }
 
 // TestDenseSwitchLowersToJumpTable: the dense-int Switch becomes a
