@@ -8,9 +8,10 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"math"
 	goruntime "runtime"
 	"strings"
-	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
@@ -18,7 +19,6 @@ import (
 	"repro/internal/jit"
 	"repro/internal/perflab"
 	"repro/internal/server"
-	"repro/internal/vm"
 	"repro/internal/workload"
 )
 
@@ -120,9 +120,6 @@ type JumpstartComparison struct {
 // jumpstarted from a profile snapshot taken on a warmed donor server.
 // The headline metric is time-to-90%-of-steady-RPS.
 func Jumpstart(cfg server.Config) (*JumpstartComparison, error) {
-	if cfg.Minutes == 0 {
-		cfg = server.DefaultConfig()
-	}
 	cold, err := server.Simulate(cfg)
 	if err != nil {
 		return nil, fmt.Errorf("jumpstart cold run: %w", err)
@@ -194,9 +191,6 @@ type ScalingRow struct {
 // backend over N goroutines, fused dispatch) — and the wall-clock
 // columns compare the two.
 func Scaling(cfg server.Config, workerCounts []int) ([]ScalingRow, error) {
-	if cfg.Minutes == 0 {
-		cfg = server.DefaultConfig()
-	}
 	cfg.FleetWaveAt = cfg.Minutes // no overload window
 	var rows []ScalingRow
 	for _, n := range workerCounts {
@@ -204,10 +198,9 @@ func Scaling(cfg server.Config, workerCounts []int) ([]ScalingRow, error) {
 			c := cfg
 			c.Workers = n
 			if tuned {
-				c.CompileWorkers = n
+				c.JIT.CompileWorkers = n
 				c.JIT.FuseDispatch = true
 			} else {
-				c.CompileWorkers = 0
 				c.JIT.CompileWorkers = 0
 				c.JIT.FuseDispatch = false
 			}
@@ -726,12 +719,8 @@ func Faults(pc perflab.Config, seed int64, rate float64) (*FaultsResult, error) 
 	if err != nil {
 		return nil, fmt.Errorf("faults snapshot donor: %w", err)
 	}
-	for r := 0; r < 200 && donor.Stats().OptimizeRuns == 0; r++ {
-		for _, ep := range deps {
-			if _, _, err := perflab.RunEndpoint(donor, ep.Name); err != nil {
-				return nil, fmt.Errorf("faults snapshot donor %s: %w", ep.Name, err)
-			}
-		}
+	if err := perflab.WarmToOptimized(donor, deps, nil); err != nil {
+		return nil, fmt.Errorf("faults snapshot donor: %w", err)
 	}
 	jcfg := defaultCfg()
 	jcfg.Faults = cfg.Faults // accumulate onto the same injector's counters
@@ -764,40 +753,28 @@ func Faults(pc perflab.Config, seed int64, rate float64) (*FaultsResult, error) 
 	if rounds == 0 {
 		rounds = 20
 	}
-	var wg sync.WaitGroup
-	errs := make([]error, workers)
-	counts := make([]int, workers)
-	for i := 0; i < workers; i++ {
-		v := weng.VM
-		if i > 0 {
-			v = weng.NewWorker(io.Discard)
-		}
-		wg.Add(1)
-		go func(i int, v *vm.VM) {
-			defer wg.Done()
-			for r := 0; r < rounds; r++ {
-				for _, ep := range eps {
-					_, out, err := perflab.RunEndpointVM(v, ep.Name)
-					if err != nil {
-						errs[i] = fmt.Errorf("worker %d %s: %w", i, ep.Name, err)
-						return
-					}
-					if out != refOut[ep.Name] {
-						errs[i] = fmt.Errorf("worker %d %s: output diverged from interp reference",
-							i, ep.Name)
-						return
-					}
-					counts[i]++
-				}
-			}
-		}(i, v)
+	wh, err := server.NewHost(weng, workers, 0, 0, nil)
+	if err != nil {
+		return nil, fmt.Errorf("faults worker host: %w", err)
 	}
-	wg.Wait()
-	for i := range errs {
-		if errs[i] != nil {
-			return nil, errs[i]
+	// Each worker walks the endpoint suite round-robin, rounds times.
+	pos := make([]int, workers)
+	next := func(w int) string {
+		name := eps[pos[w]%len(eps)].Name
+		pos[w]++
+		return name
+	}
+	var diverged atomic.Int64
+	check := func(name, out string) {
+		if out != refOut[name] {
+			diverged.Add(1)
 		}
-		res.WorkerRequests += counts[i]
+	}
+	if res.WorkerRequests, err = wh.ServeMinute(float64(rounds*len(eps)), math.MaxUint64, next, check); err != nil {
+		return nil, fmt.Errorf("faults workers: %w", err)
+	}
+	if n := diverged.Load(); n > 0 {
+		return nil, fmt.Errorf("faults workers: %d outputs diverged from interp reference", n)
 	}
 
 	// Forced cache-recycling episode: size the budget at a fraction of

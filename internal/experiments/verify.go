@@ -126,10 +126,13 @@ func Verify(pc perflab.Config, seed int64) (*VerifyResult, error) {
 	}
 	// Warm to steady state (optimized code published) before
 	// attaching the monitor.
-	for r := 0; r < 200 && eng.Stats().OptimizeRuns == 0; r++ {
-		if err := runRound(true); err != nil {
-			return nil, err
+	if err := perflab.WarmToOptimized(eng, eps, func(name, out string) error {
+		if out != refOut[name] {
+			return fmt.Errorf("%s: output diverged from interp reference", name)
 		}
+		return nil
+	}); err != nil {
+		return nil, fmt.Errorf("verify warmup: %w", err)
 	}
 	mon, err := sentry.New(sentry.Config{SampleRate: 1, Seed: seed}, j)
 	if err != nil {
@@ -307,14 +310,7 @@ func measureOverhead(res *VerifyResult, seed int64) error {
 		if err != nil {
 			return nil, nil, err
 		}
-		for r := 0; r < 200 && eng.Stats().OptimizeRuns == 0; r++ {
-			for _, ep := range eps {
-				if _, _, err := perflab.RunEndpoint(eng, ep.Name); err != nil {
-					return nil, nil, err
-				}
-			}
-		}
-		return eng, eps, nil
+		return eng, eps, perflab.WarmToOptimized(eng, eps, nil)
 	}
 	engA, epsA, err := warm()
 	if err != nil {

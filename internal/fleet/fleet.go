@@ -8,7 +8,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/jit"
-	"repro/internal/perflab"
+	"repro/internal/jumpstart"
 	"repro/internal/sentry"
 	"repro/internal/server"
 	"repro/internal/workload"
@@ -80,11 +80,6 @@ type Config struct {
 	ShedRatio       float64
 	DeathBacklog    float64
 
-	// CompileWorkers > 1 fans each host's JIT backend compiles over
-	// that many goroutines under per-function translation leases
-	// (plumbed into JIT.CompileWorkers). 0 keeps whatever JIT says.
-	CompileWorkers int
-
 	// VerifySample, when > 0, attaches a sentry monitor to every
 	// host: that fraction of its requests is shadow-executed and
 	// compared, its code cache is audited one chunk per minute, and a
@@ -140,26 +135,18 @@ type host struct {
 	capacityRPS float64
 	steadyRPS   float64
 
-	eng     *core.Engine
+	// srv is the host's serving unit (engine, sentry monitor, pending
+	// jumpstart cost); nil while the host is down or dead.
+	srv     *server.Host
 	stream  *workload.Stream
 	backlog float64
 	downFor int
 	died    bool
 
-	// mon is the host's sentry monitor (nil when verification is
-	// off); lastDiv tracks divergences already reacted to, so each
-	// new one demotes the host exactly once.
-	mon     *sentry.Monitor
-	lastDiv uint64
-
-	// warmCycles is the jumpstart-load cost charged against the next
-	// serving minute's budget.
-	warmCycles uint64
 	// restartMinute is the minute the host last (re)joined; to90 its
 	// warmup metric since then (server.MinutesTo90Never until hit).
 	restartMinute int
 	to90          float64
-	sawOpt        bool
 	maxDegrade    int32
 	// lastRestart indexes Result.Restarts for backfilling to90.
 	lastRestart int
@@ -168,7 +155,7 @@ type host struct {
 	samples      []HostSample
 }
 
-func (h *host) routable() bool { return h.eng != nil && h.downFor == 0 && !h.died }
+func (h *host) routable() bool { return h.srv != nil && h.downFor == 0 && !h.died }
 
 // HostSample is one minute of one host's timeline.
 type HostSample struct {
@@ -315,29 +302,14 @@ func capFactorFor(i int, spread float64) float64 {
 // Simulate runs the fleet timeline.
 func Simulate(cfg Config) (*Result, error) {
 	start := time.Now()
-	if cfg.Hosts == 0 {
-		cfg = DefaultConfig()
-	}
-	if cfg.Utilization == 0 {
-		cfg.Utilization = 0.62
+	if cfg.Hosts < 1 || cfg.Minutes < 1 {
+		return nil, fmt.Errorf("need at least 1 host and 1 minute, got %d hosts and %d minutes", cfg.Hosts, cfg.Minutes)
 	}
 	if cfg.RestartStagger < 1 {
 		cfg.RestartStagger = 1
 	}
 	if cfg.RestartDown < 1 {
 		cfg.RestartDown = 1
-	}
-	if cfg.ShedRatio == 0 {
-		cfg.ShedRatio = 1.15
-	}
-	if cfg.DeathBacklog == 0 {
-		cfg.DeathBacklog = 3
-	}
-	if cfg.CompileWorkers != 0 {
-		cfg.JIT.CompileWorkers = cfg.CompileWorkers
-	}
-	if cfg.OverloadFactor == 0 {
-		cfg.OverloadFactor = 2
 	}
 	if cfg.Users < 1 {
 		cfg.Users = 1
@@ -357,33 +329,24 @@ func Simulate(cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	for i := 0; i < 60; i++ {
-		for _, ep := range eps {
-			if _, _, err := perflab.RunEndpoint(calib, ep.Name); err != nil {
-				return nil, err
-			}
-		}
-	}
-	refOut := map[string]string{}
-	for _, ep := range eps {
-		_, out, err := perflab.RunEndpoint(calib, ep.Name)
-		if err != nil {
-			return nil, err
-		}
-		refOut[ep.Name] = out
-	}
 	calibStream := traffic.NewStream(cfg.Seed)
-	var steadyCycles uint64
-	const steadyN = 40
-	for i := 0; i < steadyN; i++ {
+	cal, err := server.Calibrate(calib, eps, func() string {
 		_, ep := calibStream.Next()
-		c, _, err := perflab.RunEndpoint(calib, ep.Name)
-		if err != nil {
-			return nil, err
-		}
-		steadyCycles += c
+		return ep.Name
+	})
+	if err != nil {
+		return nil, err
 	}
-	steadyPerReq := float64(steadyCycles) / steadyN
+	// boot gives h a fresh serving unit, jumpstarted from snap when
+	// it is non-nil.
+	boot := func(h *host, snap *jumpstart.Snapshot) error {
+		eng, err := core.NewEngine(unit, cfg.JIT, io.Discard)
+		if err != nil {
+			return err
+		}
+		h.srv, err = server.NewHost(eng, 1, cfg.VerifySample, cfg.Seed+200+int64(h.id), snap)
+		return err
+	}
 
 	res := &Result{
 		Hosts:       cfg.Hosts,
@@ -391,23 +354,28 @@ func Simulate(cfg Config) (*Result, error) {
 		Users:       cfg.Users,
 	}
 	hosts := make([]*host, cfg.Hosts)
+	defer func() {
+		// A run that ends in an error leaves monitors running; a
+		// complete run has already stopped every host.
+		for _, h := range hosts {
+			if h != nil {
+				h.stop(res)
+			}
+		}
+	}()
 	for i := range hosts {
 		cf := capFactorFor(i, cfg.CapacitySpread)
-		capRPS := cf * float64(cfg.CyclesPerMinute) / steadyPerReq
+		capRPS := cf * float64(cfg.CyclesPerMinute) / cal.CyclesPerReq
 		h := &host{
-			id:            i,
-			capFactor:     cf,
-			capacityRPS:   capRPS,
-			steadyRPS:     cfg.Utilization * capRPS,
-			stream:        traffic.NewStream(cfg.Seed + 100 + int64(i)),
-			restartMinute: 0,
-			to90:          server.MinutesTo90Never,
-			lastRestart:   -1,
+			id:          i,
+			capFactor:   cf,
+			capacityRPS: capRPS,
+			steadyRPS:   cfg.Utilization * capRPS,
+			stream:      traffic.NewStream(cfg.Seed + 100 + int64(i)),
+			to90:        server.MinutesTo90Never,
+			lastRestart: -1,
 		}
-		if h.eng, err = core.NewEngine(unit, cfg.JIT, io.Discard); err != nil {
-			return nil, err
-		}
-		if err := h.attachMonitor(cfg); err != nil {
+		if err := boot(h, nil); err != nil {
 			return nil, err
 		}
 		hosts[i] = h
@@ -438,10 +406,11 @@ func Simulate(cfg Config) (*Result, error) {
 			// Rejoin: fresh engine, optionally jumpstarted from the
 			// aggregator's warm aggregate. The load's compile cycles
 			// are charged against this minute's serving budget.
-			if h.eng, err = core.NewEngine(unit, cfg.JIT, io.Discard); err != nil {
-				return nil, err
+			var snap *jumpstart.Snapshot
+			if cfg.WarmRestart && cfg.PublishEvery > 0 {
+				snap = agg.Warm()
 			}
-			if err := h.attachMonitor(cfg); err != nil {
+			if err := boot(h, snap); err != nil {
 				return nil, err
 			}
 			rec := RestartRecord{
@@ -450,20 +419,14 @@ func Simulate(cfg Config) (*Result, error) {
 				UpMinute:    minute + 1,
 				MinutesTo90: server.MinutesTo90Never,
 			}
-			if cfg.WarmRestart && cfg.PublishEvery > 0 {
-				if snap := agg.Warm(); snap != nil {
-					before := h.eng.Cycles()
-					jr := h.eng.LoadProfile(snap)
-					h.warmCycles = h.eng.Cycles() - before
-					rec.Warm = true
-					rec.LoadedTrans = jr.LoadedTrans
-					rec.StalenessMin = agg.StalenessAt(float64(minute))
-					h.event("J")
-				}
+			if snap != nil {
+				rec.Warm = true
+				rec.LoadedTrans = h.srv.JumpstartLoad.LoadedTrans
+				rec.StalenessMin = agg.StalenessAt(float64(minute))
+				h.event("J")
 			}
 			h.restartMinute = minute
 			h.to90 = server.MinutesTo90Never
-			h.sawOpt = false
 			h.lastRestart = len(res.Restarts)
 			res.Restarts = append(res.Restarts, rec)
 			h.event("U")
@@ -476,8 +439,7 @@ func Simulate(cfg Config) (*Result, error) {
 				// engine (its code cache and profile) is discarded.
 				spill += h.backlog
 				h.backlog = 0
-				h.closeMonitor(res)
-				h.eng = nil
+				h.stop(res)
 				h.downFor = cfg.RestartDown
 				h.event("R")
 			}
@@ -522,33 +484,21 @@ func Simulate(cfg Config) (*Result, error) {
 				o := &outs[i]
 				want := h.backlog + shares[i]
 				budget := uint64(float64(cfg.CyclesPerMinute) * h.capFactor)
-				if h.warmCycles > 0 {
-					if h.warmCycles >= budget {
-						budget = 0
-					} else {
-						budget -= h.warmCycles
-					}
-					h.warmCycles = 0
-				}
-				begin := h.eng.Cycles()
-				for float64(o.served) < want && h.eng.Cycles()-begin < budget {
+				next := func(int) string {
 					user, ep := h.stream.Next()
-					_, out, err := perflab.RunEndpoint(h.eng, ep.Name)
-					if err != nil {
-						o.err = fmt.Errorf("host %d %s: %w", h.id, ep.Name, err)
-						return
-					}
-					if out != refOut[ep.Name] {
+					o.users = append(o.users, user)
+					return ep.Name
+				}
+				check := func(name, out string) {
+					if out != cal.Outputs[name] {
 						o.mismatches++
 					}
-					h.mon.Observe(ep.Name, out)
-					o.users = append(o.users, user)
-					o.served++
 				}
-				h.backlog = want - float64(o.served)
-				if h.backlog < 0 {
-					h.backlog = 0
+				if o.served, o.err = h.srv.ServeMinute(want, budget, next, check); o.err != nil {
+					o.err = fmt.Errorf("host %d %w", h.id, o.err)
+					return
 				}
+				h.backlog = max(want-float64(o.served), 0)
 			}(i, h)
 		}
 		wg.Wait()
@@ -570,32 +520,27 @@ func Simulate(cfg Config) (*Result, error) {
 				continue
 			}
 
-			// --- Verification (deterministic, post-serve): audit one
-			// chunk, drain pending shadow comparisons, and demote the
-			// host once per new verified divergence so the balancer
-			// shifts traffic away while the culprit is quarantined ---
+			// --- Verification (deterministic, post-serve): the host's
+			// end-of-minute audit and drain; each new verified
+			// divergence demotes the host once so the balancer shifts
+			// traffic away while the culprit is quarantined ---
+			tr := h.srv.EndMinute()
+			j := h.srv.Eng.VM.JIT
 			demotedNow := false
-			if h.mon != nil {
-				h.mon.AuditStep(0)
-				h.mon.Drain()
-				if vs := h.mon.Stats(); vs.Divergences > h.lastDiv {
-					h.lastDiv = vs.Divergences
-					if !cfg.DisableShed {
-						j := h.eng.VM.JIT
-						j.Shed(j.DegradeLevel() + 1)
-						if lvl := j.DegradeLevel(); lvl > h.maxDegrade {
-							h.maxDegrade = lvl
-						}
-						demotedNow = true
+			if tr&server.Divergence != 0 {
+				if !cfg.DisableShed {
+					j.Shed(j.DegradeLevel() + 1)
+					if lvl := j.DegradeLevel(); lvl > h.maxDegrade {
+						h.maxDegrade = lvl
 					}
-					h.event("D")
+					demotedNow = true
 				}
+				h.event("D")
 			}
 
 			// --- Shedding / death (deterministic, post-serve) ------
 			assignedRatio := shares[i] / h.capacityRPS
 			if !cfg.DisableShed {
-				j := h.eng.VM.JIT
 				if assignedRatio > cfg.ShedRatio {
 					j.Shed(j.DegradeLevel() + 1)
 					h.event("S")
@@ -628,18 +573,14 @@ func Simulate(cfg Config) (*Result, error) {
 				h.died = true
 				lost += h.backlog
 				h.backlog = 0
-				h.closeMonitor(res)
-				h.eng = nil
+				h.stop(res)
 				h.event("X")
 			}
 
 			// Warmup metrics.
 			served := float64(o.served)
-			if h.eng != nil {
-				if st := h.eng.Stats(); !h.sawOpt && st.OptimizeRuns > 0 {
-					h.sawOpt = true
-					h.event("C")
-				}
+			if h.srv != nil && tr&server.Optimized != 0 {
+				h.event("C")
 			}
 			if h.to90 == server.MinutesTo90Never && served >= 0.9*h.steadyRPS {
 				h.to90 = float64(minute - h.restartMinute + 1)
@@ -656,7 +597,7 @@ func Simulate(cfg Config) (*Result, error) {
 		if cfg.PublishEvery > 0 && (minute+1)%cfg.PublishEvery == 0 {
 			for _, h := range hosts {
 				if h.routable() {
-					agg.Publish(h.id, h.eng.ProfileSnapshot())
+					agg.Publish(h.id, h.srv.Eng.ProfileSnapshot())
 				}
 			}
 			agg.MergeRound(float64(minute + 1))
@@ -679,7 +620,7 @@ func Simulate(cfg Config) (*Result, error) {
 		for _, h := range hosts {
 			if h.routable() {
 				s.HostsUp++
-				if lvl := h.eng.VM.JIT.DegradeLevel(); lvl > s.MaxDegrade {
+				if lvl := h.srv.Eng.VM.JIT.DegradeLevel(); lvl > s.MaxDegrade {
 					s.MaxDegrade = lvl
 				}
 			}
@@ -692,7 +633,7 @@ func Simulate(cfg Config) (*Result, error) {
 	}
 
 	for _, h := range hosts {
-		h.closeMonitor(res)
+		h.stop(res)
 		res.HostTimelines = append(res.HostTimelines, h.samples)
 		res.MaxDegradePerHost = append(res.MaxDegradePerHost, h.maxDegrade)
 		if h.died {
@@ -705,34 +646,13 @@ func Simulate(cfg Config) (*Result, error) {
 	return res, nil
 }
 
-// attachMonitor starts a sentry monitor over the host's (fresh)
-// engine when verification is configured.
-func (h *host) attachMonitor(cfg Config) error {
-	if cfg.VerifySample <= 0 || h.eng == nil {
-		return nil
+// stop takes the host's serving unit down (restart, death, end of
+// run), folding its monitor's counters into the fleet-wide totals.
+func (h *host) stop(res *Result) {
+	if h.srv != nil {
+		addVerify(&res.Verify, h.srv.Close())
+		h.srv = nil
 	}
-	mon, err := sentry.New(sentry.Config{
-		SampleRate: cfg.VerifySample,
-		Seed:       cfg.Seed + 200 + int64(h.id),
-	}, h.eng.VM.JIT)
-	if err != nil {
-		return err
-	}
-	h.mon = mon
-	h.lastDiv = 0
-	return nil
-}
-
-// closeMonitor drains the host's monitor, folds its counters into the
-// fleet-wide totals, and shuts it down (restart, death, end of run).
-func (h *host) closeMonitor(res *Result) {
-	if h.mon == nil {
-		return
-	}
-	h.mon.Drain()
-	addVerify(&res.Verify, h.mon.Stats())
-	h.mon.Close()
-	h.mon = nil
 }
 
 // addVerify accumulates one monitor's counters into the fleet total.
@@ -767,10 +687,9 @@ func (h *host) sample(minute int, served, assignedRatio float64) {
 		Up:          h.routable(),
 		Event:       h.pendingEvent,
 	}
-	if h.eng != nil {
-		st := h.eng.Stats()
-		s.CodeBytes = st.BytesProfiling + st.BytesOptimized + st.BytesLive
-		s.Degrade = h.eng.VM.JIT.DegradeLevel()
+	if h.srv != nil {
+		s.CodeBytes = h.srv.CodeBytes()
+		s.Degrade = h.srv.Eng.VM.JIT.DegradeLevel()
 	}
 	h.pendingEvent = ""
 	h.samples = append(h.samples, s)

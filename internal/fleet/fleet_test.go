@@ -5,7 +5,6 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/jit"
 	"repro/internal/jumpstart"
 	"repro/internal/perflab"
@@ -24,21 +23,17 @@ func tinyConfig() Config {
 	return cfg
 }
 
-// donorSnapshot warms one engine enough to carry a real profile and
-// returns snapshots of it (fresh copy each call).
+// donorSnapshot warms one engine to its optimized publish, so it
+// carries a real profile, and returns snapshots of it (fresh copy
+// each call).
 func donorSnapshot(t *testing.T) func() *jumpstart.Snapshot {
 	t.Helper()
-	cfg := jit.DefaultConfig()
-	eng, eps, err := perflab.NewEngine(cfg)
+	eng, eps, err := perflab.NewEngine(jit.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 3; i++ {
-		for _, ep := range eps {
-			if _, _, err := perflab.RunEndpoint(eng, ep.Name); err != nil {
-				t.Fatal(err)
-			}
-		}
+	if err := perflab.WarmToOptimized(eng, eps, nil); err != nil {
+		t.Fatal(err)
 	}
 	return eng.ProfileSnapshot
 }
@@ -256,6 +251,21 @@ func TestFleetNeverReached90Sentinel(t *testing.T) {
 	}
 }
 
+// TestSimulateRejectsEmptyFleet: zero hosts or zero minutes are
+// config errors, not a silent switch to DefaultConfig.
+func TestSimulateRejectsEmptyFleet(t *testing.T) {
+	noHosts := tinyConfig()
+	noHosts.Hosts = 0
+	if _, err := Simulate(noHosts); err == nil {
+		t.Error("Simulate accepted Hosts=0")
+	}
+	noMinutes := tinyConfig()
+	noMinutes.Minutes = 0
+	if _, err := Simulate(noMinutes); err == nil {
+		t.Error("Simulate accepted Minutes=0")
+	}
+}
+
 // TestAssignRouting covers the balancer: shares sum to offered,
 // unhealthy hosts get nothing, backlogged hosts get less than clean
 // peers of equal capacity.
@@ -263,7 +273,7 @@ func TestAssignRouting(t *testing.T) {
 	mk := func(backlog float64, up bool) *host {
 		h := &host{capFactor: 1, capacityRPS: 100, backlog: backlog}
 		if up {
-			h.eng = &core.Engine{}
+			h.srv = &server.Host{}
 		}
 		return h
 	}

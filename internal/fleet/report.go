@@ -24,7 +24,7 @@ func Report(w io.Writer, r *Result) {
 	fmt.Fprintf(w, "traffic: %d requests from %d unique users (population %d)\n",
 		r.Requests, r.UniqueUsers, r.Users)
 
-	fmt.Fprintln(w, "\n min | offered |  served |  fleet%% |  cap%% | up | deg | stale | bklog | shed | lost")
+	fmt.Fprintln(w, "\n min | offered |  served |  fleet% |  cap% | up | deg | stale | bklog | shed | lost")
 	fmt.Fprintln(w, "-----+---------+---------+---------+-------+----+-----+-------+-------+------+-----")
 	for _, s := range r.Samples {
 		fmt.Fprintf(w, " %3.0f | %7.0f | %7.0f | %6.1f%% | %4.0f%% | %2d |  %d  | %5.0f | %5.0f | %4.0f | %4.0f\n",

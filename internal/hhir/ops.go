@@ -149,7 +149,7 @@ var opNames2 = map[Opcode]string{
 	LdPropGeneric: "LdPropGeneric", StPropGeneric: "StPropGeneric", InstanceOf: "InstanceOf",
 	GuardShape: "GuardShape", LdPropIC: "LdPropIC", StPropIC: "StPropIC",
 	ProfPropShape: "ProfPropShape",
-	CallFunc: "CallFunc", CallBuiltin: "CallBuiltin", CallMethodD: "CallMethodD",
+	CallFunc:      "CallFunc", CallBuiltin: "CallBuiltin", CallMethodD: "CallMethodD",
 	CallMethodC: "CallMethodC", VerifyParam: "VerifyParam",
 	ProfCount: "ProfCount", ProfCallSite: "ProfCallSite",
 	PrintC: "PrintC",

@@ -88,15 +88,36 @@ func NewEngine(cfg jit.Config) (*core.Engine, []workload.Endpoint, error) {
 	return eng, eps, nil
 }
 
-// RunEndpoint executes one request against an endpoint, returning its
-// cycle cost and output.
+// maxWarmRounds bounds WarmToOptimized. The global retranslation
+// trigger fires within a few tens of rounds under every configuration
+// the experiments use.
+const maxWarmRounds = 300
+
+// WarmToOptimized drives eng with rounds of the endpoint suite until
+// the global retranslation trigger has published optimized code (or
+// maxWarmRounds pass). check, when non-nil, vets every request's
+// output.
+func WarmToOptimized(eng *core.Engine, eps []workload.Endpoint, check func(name, out string) error) error {
+	for r := 0; r < maxWarmRounds && eng.Stats().OptimizeRuns == 0; r++ {
+		for _, ep := range eps {
+			_, out, err := RunEndpoint(eng, ep.Name)
+			if err != nil {
+				return fmt.Errorf("%s: %w", ep.Name, err)
+			}
+			if check != nil {
+				if err := check(ep.Name, out); err != nil {
+					return err
+				}
+			}
+		}
+	}
+	return nil
+}
+
+// RunEndpoint executes one request against an endpoint on the engine's
+// primary VM, returning its cycle cost and output.
 func RunEndpoint(eng *core.Engine, name string) (uint64, string, error) {
-	var out strings.Builder
-	eng.VM.SetOut(&out)
-	before := eng.Cycles()
-	v, err := eng.Call(workload.EndpointFunc(name))
-	eng.Heap().DecRef(v)
-	return eng.Cycles() - before, out.String(), err
+	return RunEndpointVM(eng.VM, name)
 }
 
 // RunEndpointVM executes one request against an endpoint on a

@@ -37,3 +37,13 @@ func TestMinutesTo90Sentinel(t *testing.T) {
 		t.Fatalf("MinutesTo90 = %v, want sentinel %v", cut.MinutesTo90, server.MinutesTo90Never)
 	}
 }
+
+// TestSimulateRejectsEmptyWindow: a zero-minute run is a config
+// error, not a silent switch to DefaultConfig.
+func TestSimulateRejectsEmptyWindow(t *testing.T) {
+	cfg := server.DefaultConfig()
+	cfg.Minutes = 0
+	if _, err := server.Simulate(cfg); err == nil {
+		t.Fatal("Simulate accepted Minutes=0")
+	}
+}

@@ -12,14 +12,11 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
-	"sync"
 
 	"repro/internal/jit"
 	"repro/internal/jumpstart"
 	"repro/internal/perflab"
 	"repro/internal/sentry"
-	"repro/internal/vm"
-	"repro/internal/workload"
 )
 
 // Sample is one timeline point.
@@ -61,17 +58,12 @@ type Config struct {
 	// Seed for request-mix sampling.
 	Seed int64
 	// Workers is the number of concurrent request workers (simulated
-	// cores). 0 or 1 serves single-threaded — the exact legacy
-	// timeline. With N > 1, N worker VMs share one JIT: each worker
-	// gets a full per-minute cycle budget and its own request stream,
-	// the global retranslation runs on a background compiler
-	// goroutine, and RPSPct is reported against N× the single-core
-	// steady-state throughput.
+	// cores); 0 means 1. N worker VMs share one JIT: each worker gets
+	// a full per-minute cycle budget and its own request stream, and
+	// RPSPct is reported against N× the single-core steady-state
+	// throughput. With N > 1 the global retranslation runs on a
+	// background compiler goroutine.
 	Workers int
-	// CompileWorkers, when > 1, fans JIT backend compiles over that
-	// many goroutines under per-function translation leases (plumbed
-	// into JIT.CompileWorkers). 0 keeps whatever the JIT config says.
-	CompileWorkers int
 	// Jumpstart, when set, warm-starts the restarted server from a
 	// persisted profile snapshot before it serves its first request:
 	// profiling is skipped and optimized code is published
@@ -125,18 +117,9 @@ type Result struct {
 	// JumpstartLoad reports snapshot acceptance when Config.Jumpstart
 	// was set.
 	JumpstartLoad jit.JumpstartResult
-	// Direct-chaining activity over the run: smash sites bound,
-	// transfers that stayed inside the code cache (jumps + calls),
-	// and links invalidated by the optimized-index publish.
-	BindsSmashed     uint64
-	ChainedTransfers uint64
-	LinksSwept       uint64
-	// Self-healing activity over the run (zero in fault-free runs):
-	// contained translation faults, translations evicted by cache
-	// recycling, and recycle episodes (DESIGN.md §11).
-	TransFaults uint64
-	Evictions   uint64
-	RecycleRuns uint64
+	// Stats is the restarted server's final JIT counters (chaining and
+	// self-healing activity over the run).
+	Stats jit.Stats
 	// Verify holds the sentry monitor's counters when
 	// Config.VerifySample was set (audits, shadow comparisons,
 	// divergences, quarantined culprits — DESIGN.md §15).
@@ -156,115 +139,70 @@ const MinutesTo90Never = -1
 // MinutesTo90Never sentinel.
 func (r *Result) Reached90() bool { return r.MinutesTo90 != MinutesTo90Never }
 
-// Simulate runs the restart timeline.
+// Simulate runs the restart timeline: one Host serving the Figure 9
+// demand curve.
 func Simulate(cfg Config) (*Result, error) {
-	if cfg.Minutes == 0 {
-		cfg = DefaultConfig()
+	if cfg.Minutes < 1 {
+		return nil, fmt.Errorf("need at least 1 simulated minute, got %d", cfg.Minutes)
 	}
-	workers := cfg.Workers
-	if workers < 1 {
-		workers = 1
-	}
+	workers := max(cfg.Workers, 1)
 	if workers > 1 {
 		// Request workers must keep serving while the optimizing
 		// compiler runs: hand the global retranslation to a background
 		// goroutine instead of stalling the triggering worker.
 		cfg.JIT.BackgroundCompile = true
 	}
-	if cfg.CompileWorkers != 0 {
-		cfg.JIT.CompileWorkers = cfg.CompileWorkers
-	}
 	// Calibrate steady state with a fully warmed engine.
 	steadyEng, eps, err := perflab.NewEngine(cfg.JIT)
 	if err != nil {
 		return nil, err
 	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	pick := func(r *rand.Rand) workload.Endpoint {
+	pick := func(r *rand.Rand) string {
 		x := r.Float64()
 		acc := 0.0
 		for _, ep := range eps {
 			acc += ep.Weight
 			if x <= acc {
-				return ep
+				return ep.Name
 			}
 		}
-		return eps[len(eps)-1]
+		return eps[len(eps)-1].Name
 	}
-	for i := 0; i < 60; i++ {
-		for _, ep := range eps {
-			if _, _, err := perflab.RunEndpoint(steadyEng, ep.Name); err != nil {
-				return nil, err
-			}
-		}
+	rng := rand.New(rand.NewSource(cfg.Seed))
+	cal, err := Calibrate(steadyEng, eps, func() string { return pick(rng) })
+	if err != nil {
+		return nil, err
 	}
-	var steadyCycles uint64
-	steadyN := 0
-	for i := 0; i < 40; i++ {
-		ep := pick(rng)
-		c, _, err := perflab.RunEndpoint(steadyEng, ep.Name)
-		if err != nil {
-			return nil, err
-		}
-		steadyCycles += c
-		steadyN++
-	}
-	steadyPerReq := float64(steadyCycles) / float64(steadyN)
-	if cfg.Utilization == 0 {
-		cfg.Utilization = 0.62
-	}
-	capacityRPS := float64(cfg.CyclesPerMinute) / steadyPerReq
-	steadyRPS := cfg.Utilization * capacityRPS
+	steadyRPS := cfg.Utilization * (float64(cfg.CyclesPerMinute) / cal.CyclesPerReq)
 
-	// Fresh server: replay the restart.
+	// Fresh server: replay the restart. A jumpstart snapshot is loaded
+	// before the first request lands; the optimizing compiler's cycles
+	// are charged against minute 0.
 	eng, _, err := perflab.NewEngine(cfg.JIT)
 	if err != nil {
 		return nil, err
 	}
+	h, err := NewHost(eng, workers, cfg.VerifySample, cfg.Seed, cfg.Jumpstart)
+	if err != nil {
+		return nil, err
+	}
+	defer h.Close()
 	res := &Result{
-		SteadyRPS: steadyRPS,
-		SteadyCodeBytes: steadyEng.Stats().BytesOptimized +
-			steadyEng.Stats().BytesLive + steadyEng.Stats().BytesProfiling,
+		SteadyRPS:       steadyRPS,
+		SteadyCodeBytes: codeBytes(steadyEng.Stats()),
+		JumpstartLoad:   h.JumpstartLoad,
 	}
-	// Jumpstart: load the snapshot before the first request lands. The
-	// optimizing compiler's cycles are charged against minute 0.
-	var jumpstartCycles uint64
-	if cfg.Jumpstart != nil {
-		before := eng.Cycles()
-		res.JumpstartLoad = eng.LoadProfile(cfg.Jumpstart)
-		jumpstartCycles = eng.Cycles() - before
-	}
-	// Self-verification: checksum every publish, audit one chunk per
-	// minute, shadow-sample the configured request fraction.
-	var mon *sentry.Monitor
-	if cfg.VerifySample > 0 {
-		mon, err = sentry.New(sentry.Config{SampleRate: cfg.VerifySample, Seed: cfg.Seed}, eng.VM.JIT)
-		if err != nil {
-			return nil, err
-		}
-		defer mon.Close()
-	}
+	// A snapshot that published optimized code stands in for live
+	// profiling: the timeline shows "J" instead of "A" and "C".
+	jumpstarted := cfg.Jumpstart != nil && h.JumpstartLoad.Optimized
 
-	// Worker pool: worker 0 is the engine's primary VM; extra workers
-	// share its JIT (translation index, counters, code cache) with
-	// private interpreter state. Each worker draws from its own seeded
-	// request stream so multi-worker runs are reproducible.
-	ws := make([]*vm.VM, workers)
-	ws[0] = eng.VM
+	// Each worker draws from its own seeded request stream so
+	// multi-worker runs are reproducible.
 	rngs := make([]*rand.Rand, workers)
-	rngs[0] = rand.New(rand.NewSource(cfg.Seed + 1))
-	for i := 1; i < workers; i++ {
-		ws[i] = eng.NewWorker(io.Discard)
+	for i := range rngs {
 		rngs[i] = rand.New(rand.NewSource(cfg.Seed + 1 + int64(i)))
 	}
-
-	sawOptimize := cfg.Jumpstart != nil && res.JumpstartLoad.Optimized
-	sawProfilingDone := sawOptimize
-	sawFull := false
-	sawFault := false
-	sawRecycle := false
-	sawVerify := false
-	jumpEvent := sawOptimize
+	next := func(w int) string { return pick(rngs[w]) }
 	for minute := 0; minute < cfg.Minutes; minute++ {
 		// Fleet-wave overload window: load balancers shift traffic of
 		// restarting peers onto this (now warm) server.
@@ -272,130 +210,38 @@ func Simulate(cfg Config) (*Result, error) {
 		if minute >= cfg.FleetWaveAt && minute < cfg.FleetWaveAt+cfg.FleetWaveMinutes {
 			demand = steadyRPS * 1.6
 		}
-		budgetFor := func(worker int) uint64 {
-			budget := cfg.CyclesPerMinute
-			// The jumpstart load ran on the primary before serving
-			// started; its cycles come out of worker 0's first minute.
-			if worker == 0 && minute == 0 && jumpstartCycles > 0 {
-				if jumpstartCycles >= budget {
-					return 0
-				}
-				return budget - jumpstartCycles
-			}
-			return budget
+		served, err := h.ServeMinute(demand, cfg.CyclesPerMinute, next, nil)
+		if err != nil {
+			return nil, err
 		}
-		served := 0
-		if workers == 1 {
-			budget := budgetFor(0)
-			start := eng.Cycles()
-			for float64(served) < demand && eng.Cycles()-start < budget {
-				ep := pick(rngs[0])
-				_, out, err := perflab.RunEndpoint(eng, ep.Name)
-				if err != nil {
-					return nil, err
-				}
-				mon.Observe(ep.Name, out)
-				served++
-			}
-		} else {
-			perWorker := make([]int, workers)
-			errs := make([]error, workers)
-			var wg sync.WaitGroup
-			for i := 0; i < workers; i++ {
-				wg.Add(1)
-				go func(i int) {
-					defer wg.Done()
-					v, budget := ws[i], budgetFor(i)
-					start := v.Meter.Cycles
-					for float64(perWorker[i]) < demand && v.Meter.Cycles-start < budget {
-						ep := pick(rngs[i])
-						_, out, err := perflab.RunEndpointVM(v, ep.Name)
-						if err != nil {
-							errs[i] = err
-							return
-						}
-						mon.Observe(ep.Name, out)
-						perWorker[i]++
-					}
-				}(i)
-			}
-			wg.Wait()
-			for i := range errs {
-				if errs[i] != nil {
-					return nil, errs[i]
-				}
-				served += perWorker[i]
-			}
-		}
-		// End-of-minute verification pass: audit one low-priority chunk
-		// of the code cache, then drain pending shadow comparisons so
-		// the per-minute counters (and the "V" event latch) are
-		// deterministic rather than dependent on comparator timing.
-		if mon != nil {
-			mon.AuditStep(0)
-			mon.Drain()
-		}
-		st := eng.Stats()
-		code := st.BytesProfiling + st.BytesOptimized + st.BytesLive
-		// Coincident lifecycle events are concatenated (fixed J, A, C,
-		// D order), never overwritten. "A" (profiling done) latches
-		// even when the optimize trigger fires the same minute.
+		tr := h.EndMinute()
 		ev := ""
-		if jumpEvent {
-			ev += "J"
-			jumpEvent = false
+		if jumpstarted {
+			if minute == 0 {
+				ev = "J"
+			}
+			tr &^= ProfilingDone | Optimized
 		}
-		if !sawProfilingDone && st.ProfilingTranslations > 0 &&
-			(minute >= 1 || st.OptimizeRuns > 0) {
-			ev += "A"
-			sawProfilingDone = true
-		}
-		if !sawOptimize && st.OptimizeRuns > 0 {
-			ev += "C"
-			sawOptimize = true
-		}
-		if !sawFull && st.CacheFullEvents > 0 {
-			ev += "D"
-			sawFull = true
-		}
-		if !sawFault && st.TransFaults > 0 {
-			ev += "F"
-			sawFault = true
-		}
-		if !sawRecycle && st.RecycleRuns > 0 {
-			ev += "R"
-			sawRecycle = true
-		}
-		if !sawVerify && mon != nil {
-			if vs := mon.Stats(); vs.Corruptions+vs.TornLinks+vs.DanglingLinks+vs.Divergences > 0 {
-				ev += "V"
-				sawVerify = true
+		for _, l := range eventLetters {
+			if tr&l.t != 0 {
+				ev += l.letter
 			}
 		}
 		res.Samples = append(res.Samples, Sample{
 			Minute:    float64(minute + 1),
-			CodeBytes: code,
+			CodeBytes: h.CodeBytes(),
 			RPSPct:    100 * float64(served) / (steadyRPS * float64(workers)),
 			Event:     ev,
 		})
 	}
-	st := eng.Stats()
+	res.Stats = eng.Stats()
 	// Share of JITed-code *cycle time* spent in live translations
 	// (live vs optimized; profiling-translation time is warmup, not
 	// steady state, and is excluded).
-	if denom := st.MachineCyclesLive + st.MachineCyclesOptimized; denom > 0 {
-		res.PctTimeInLiveCode = 100 * float64(st.MachineCyclesLive) / float64(denom)
+	if denom := res.Stats.MachineCyclesLive + res.Stats.MachineCyclesOptimized; denom > 0 {
+		res.PctTimeInLiveCode = 100 * float64(res.Stats.MachineCyclesLive) / float64(denom)
 	}
-	res.BindsSmashed = st.BindsSmashed
-	res.ChainedTransfers = st.ChainedJumps + st.ChainedCalls
-	res.LinksSwept = st.LinksSwept
-	res.TransFaults = st.TransFaults
-	res.Evictions = st.Evictions
-	res.RecycleRuns = st.RecycleRuns
-	if mon != nil {
-		mon.Drain()
-		res.Verify = mon.Stats()
-	}
+	res.Verify = h.Close()
 	res.MinutesTo90 = MinutesTo90Never
 	for _, s := range res.Samples {
 		if s.RPSPct >= 90 {
@@ -406,25 +252,27 @@ func Simulate(cfg Config) (*Result, error) {
 	return res, nil
 }
 
-// WarmSnapshot runs a donor server to steady state under cfg and
+// eventLetters spells a minute's transitions in Sample.Event order.
+var eventLetters = []struct {
+	t      Transition
+	letter string
+}{
+	{ProfilingDone, "A"}, {Optimized, "C"}, {CacheFull, "D"},
+	{Fault, "F"}, {Recycle, "R"}, {VerifyFinding, "V"},
+}
+
+// WarmSnapshot runs a donor server to steady state under cfg.JIT and
 // returns its profile snapshot — the artifact a production fleet
 // persists periodically and ships to restarting peers. The donor is
 // driven with the endpoint suite until the global retranslation
-// trigger fires (bounded), so the snapshot holds a full profile.
+// trigger fires, so the snapshot holds a full profile.
 func WarmSnapshot(cfg Config) (*jumpstart.Snapshot, error) {
-	if cfg.Minutes == 0 {
-		cfg = DefaultConfig()
-	}
 	eng, eps, err := perflab.NewEngine(cfg.JIT)
 	if err != nil {
 		return nil, err
 	}
-	for round := 0; round < 300 && eng.Stats().OptimizeRuns == 0; round++ {
-		for _, ep := range eps {
-			if _, _, err := perflab.RunEndpoint(eng, ep.Name); err != nil {
-				return nil, err
-			}
-		}
+	if err := perflab.WarmToOptimized(eng, eps, nil); err != nil {
+		return nil, err
 	}
 	return eng.ProfileSnapshot(), nil
 }
@@ -446,13 +294,13 @@ func Report(w io.Writer, r *Result) {
 		fmt.Fprintf(w, "jumpstart: %d funcs, %d translations loaded; %d stale, %d unknown\n",
 			jl.LoadedFuncs, jl.LoadedTrans, len(jl.StaleFuncs), len(jl.UnknownFuncs))
 	}
-	if r.BindsSmashed > 0 {
+	if st := r.Stats; st.BindsSmashed > 0 {
 		fmt.Fprintf(w, "chaining: %d sites smashed, %d direct transfers, %d links swept at publish\n",
-			r.BindsSmashed, r.ChainedTransfers, r.LinksSwept)
+			st.BindsSmashed, st.ChainedJumps+st.ChainedCalls, st.LinksSwept)
 	}
-	if r.TransFaults > 0 || r.RecycleRuns > 0 {
+	if st := r.Stats; st.TransFaults > 0 || st.RecycleRuns > 0 {
 		fmt.Fprintf(w, "self-healing: %d faults contained, %d recycle runs, %d translations evicted\n",
-			r.TransFaults, r.RecycleRuns, r.Evictions)
+			st.TransFaults, st.RecycleRuns, st.Evictions)
 	}
 	if v := r.Verify; v.Audited > 0 || v.Sampled > 0 {
 		fmt.Fprintf(w, "verify: %d audited (%d corruptions, %d torn links), %d shadow runs, %d divergences, %d quarantined\n",

@@ -77,9 +77,9 @@ const (
 	LdThis // D <- frame $this
 
 	// Typed object shapes (DESIGN.md §14).
-	GuardShape // fail unless shape(A) has id I64; Target1 = fail stub
-	LdPropIC   // D <- A.props[Str] via shape IC (link slot); Target1 = catch stub
-	StPropIC   // A.props[Str] <- B via shape IC (link slot); Target1 = catch stub
+	GuardShape    // fail unless shape(A) has id I64; Target1 = fail stub
+	LdPropIC      // D <- A.props[Str] via shape IC (link slot); Target1 = catch stub
+	StPropIC      // A.props[Str] <- B via shape IC (link slot); Target1 = catch stub
 	ProfPropShape // record receiver shape of A at site I64
 
 	// Out-of-line helper call: I64 = HelperID; Args in order;
