@@ -197,10 +197,10 @@ func (j *JIT) RecordFault(fnID, pc int) {
 	atomic.AddUint64(&j.stats.Demotions, 1)
 	if q.episodes >= j.Cfg.QuarantineMaxAttempts {
 		q.permanent = true
-		j.unpublishKeysLocked(map[transKey]bool{key: true})
+		j.unpublishKeysLocked(key)
 		return
 	}
-	j.unpublishKeysLocked(map[transKey]bool{key: true})
+	j.unpublishKeysLocked(key)
 	q.until = now + j.backoffLocked(q.episodes)
 }
 
@@ -209,7 +209,7 @@ func (j *JIT) RecordFault(fnID, pc int) {
 func (j *JIT) demoteLocked(key transKey, q *quarantineEntry) {
 	q.permanent = true
 	atomic.AddUint64(&j.stats.Demotions, 1)
-	j.unpublishKeysLocked(map[transKey]bool{key: true})
+	j.unpublishKeysLocked(key)
 }
 
 // unpublishKeysLocked removes every translation at the given keys
@@ -218,30 +218,20 @@ func (j *JIT) demoteLocked(key transKey, q *quarantineEntry) {
 // returns the removed translations' code to the cache. Callers hold
 // j.mu; lock-free readers iterating the old index keep working and
 // pick up the new one on their next load.
-func (j *JIT) unpublishKeysLocked(keys map[transKey]bool) (removed []*Translation) {
-	old := *j.trans.Load()
-	idx := make(transIndex, len(old))
-	for k, chain := range old {
-		if keys[k] {
+func (j *JIT) unpublishKeysLocked(keys ...transKey) (removed []*Translation) {
+	old := j.index()
+	e := old.edit()
+	for _, k := range keys {
+		if chain := old.get(k.fn, k.pc); len(chain) > 0 {
 			removed = append(removed, chain...)
-			continue
+			e.set(k.fn, k.pc, nil)
 		}
-		idx[k] = chain
 	}
 	if len(removed) == 0 {
 		return nil
 	}
-	j.trans.Store(&idx)
-	epoch := j.epoch.Add(1)
-	swept := 0
-	for _, chain := range idx {
-		for _, tr := range chain {
-			swept += tr.Code.SweepLinks(epoch)
-		}
-	}
-	if swept > 0 {
-		j.Chain.LinksSwept.Add(uint64(swept))
-	}
+	idx := j.publishLocked(e)
+	j.sweepLinks(idx, j.epoch.Add(1))
 	for _, tr := range removed {
 		if j.onUnpublish != nil {
 			j.onUnpublish(tr)
@@ -264,7 +254,7 @@ func (j *JIT) Invalidate(fnID, pc int, backoff bool) int {
 	key := transKey{fnID, pc}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	removed := j.unpublishKeysLocked(map[transKey]bool{key: true})
+	removed := j.unpublishKeysLocked(key)
 	if backoff && len(removed) > 0 {
 		q := j.quarantine[key]
 		if q == nil {
@@ -284,6 +274,18 @@ func (j *JIT) Invalidate(fnID, pc int, backoff bool) int {
 	// The address starts cold again: thresholds apply afresh on remint.
 	delete(j.entryCount, key)
 	return len(removed)
+}
+
+// sweepLinks treadmill-sweeps every translation in idx: links stamped
+// with an epoch other than epoch are cleared, so retired *Translation
+// targets become collectable and machines stop paying the stale-check
+// fee.
+func (j *JIT) sweepLinks(idx transIndex, epoch uint64) {
+	swept := 0
+	idx.each(func(tr *Translation) { swept += tr.Code.SweepLinks(epoch) })
+	if swept > 0 {
+		j.Chain.LinksSwept.Add(uint64(swept))
+	}
 }
 
 // retireCode returns one translation's extent to its cache area and
@@ -325,11 +327,10 @@ func (j *JIT) recycle(need uint64) bool {
 		tr  *Translation
 	}
 	var cands []cand
-	for k, chain := range *j.trans.Load() {
-		for _, tr := range chain {
-			cands = append(cands, cand{k, tr})
-		}
-	}
+	idx := j.index()
+	idx.each(func(tr *Translation) {
+		cands = append(cands, cand{transKey{tr.FuncID, tr.PC}, tr})
+	})
 	// Coldest first; deterministic tie-break so concurrent runs and
 	// reruns evict the same victims.
 	sort.Slice(cands, func(a, b int) bool {
@@ -348,7 +349,8 @@ func (j *JIT) recycle(need uint64) bool {
 
 	target := need + j.Cache.Limit()/16
 	var planned uint64
-	evictKeys := map[transKey]bool{}
+	evicting := map[transKey]bool{}
+	var evictKeys []transKey
 	victims := 0
 	for _, c := range cands {
 		if planned >= target {
@@ -357,11 +359,12 @@ func (j *JIT) recycle(need uint64) bool {
 		// Whole chains go: evicting one link of a retranslation chain
 		// and keeping its siblings buys little and complicates the
 		// index rewrite.
-		if evictKeys[c.key] {
+		if evicting[c.key] {
 			continue
 		}
-		evictKeys[c.key] = true
-		for _, tr := range (*j.trans.Load())[c.key] {
+		evicting[c.key] = true
+		evictKeys = append(evictKeys, c.key)
+		for _, tr := range idx.get(c.key.fn, c.key.pc) {
 			planned += tr.Code.Size
 			victims++
 		}
@@ -372,11 +375,11 @@ func (j *JIT) recycle(need uint64) bool {
 	// and claiming its bytes again would declare phantom progress.
 	before := j.Cache.TotalUsed()
 	if victims > 0 {
-		j.unpublishKeysLocked(evictKeys)
+		j.unpublishKeysLocked(evictKeys...)
 		atomic.AddUint64(&j.stats.Evictions, uint64(victims))
 		// Evicted addresses may remint later (they start cold again);
 		// reset their entry counts so thresholds apply afresh.
-		for k := range evictKeys {
+		for _, k := range evictKeys {
 			delete(j.entryCount, k)
 		}
 	}

@@ -7,11 +7,12 @@
 // Concurrency model (DESIGN.md §9): the translation index is
 // published RCU-style through an atomic pointer, so the dispatch path
 // (Lookup / HasMatch) is lock-free; all mutation — installing a
-// translation, the global optimized publish — copies the index under
-// a writer mutex and swaps the new map in atomically. Translation
-// creation is deduplicated with a per-(func,PC) single-flight table,
-// and the global retranslation can run on a background compiler
-// goroutine while workers keep executing profiling translations.
+// translation, the global optimized publish — copies the index's top
+// level and the per-function tables it touches under a writer mutex
+// and swaps the new version in atomically. Translation creation is
+// deduplicated with a per-(func,PC) single-flight table, and the
+// global retranslation can run on a background compiler goroutine
+// while workers keep executing profiling translations.
 package jit
 
 import (
@@ -243,10 +244,6 @@ type transKey struct {
 	pc int
 }
 
-// transIndex is the RCU-published translation index: immutable once
-// stored, replaced wholesale by writers.
-type transIndex map[transKey][]*Translation
-
 // Stats tracks JIT activity for the evaluation harness. All fields
 // are updated atomically (workers bump them concurrently); read a
 // consistent copy through JIT.Stats().
@@ -365,8 +362,8 @@ type JIT struct {
 	// core in real HHVM) so they are not charged to any worker.
 	CompileMeter *machine.Meter
 
-	// trans is the RCU-published translation index: loads are
-	// lock-free, stores happen under mu on a fresh copy.
+	// trans is the RCU-published translation index (index.go): loads
+	// are lock-free, stores happen under mu on a fresh version.
 	trans atomic.Pointer[transIndex]
 
 	// epoch is the translation-index version chain links are stamped
@@ -387,8 +384,6 @@ type JIT struct {
 	// profBlocks collects profiling region blocks per function.
 	profBlocks map[int][]*region.Block
 	profIDs    map[int][]profile.TransID
-	// translationByProfID resolves arcs.
-	byProfID map[profile.TransID]*Translation
 
 	entryCount map[transKey]uint64
 	// quarantine tracks addresses whose compiles failed or whose
@@ -466,7 +461,6 @@ func New(cfg Config, env *interp.Env, meter *machine.Meter) *JIT {
 		CompileMeter: &machine.Meter{},
 		profBlocks:   map[int][]*region.Block{},
 		profIDs:      map[int][]profile.TransID{},
-		byProfID:     map[profile.TransID]*Translation{},
 		entryCount:   map[transKey]uint64{},
 		quarantine:   map[transKey]*quarantineEntry{},
 		inflight:     map[transKey]chan struct{}{},
@@ -475,7 +469,9 @@ func New(cfg Config, env *interp.Env, meter *machine.Meter) *JIT {
 	if cfg.CompileWorkers > 1 {
 		j.leases = newLeaseTable()
 	}
-	empty := transIndex{}
+	// The top level covers every function up front, so installs never
+	// grow it.
+	empty := make(transIndex, len(env.Unit.Funcs))
 	j.trans.Store(&empty)
 	return j
 }
@@ -682,7 +678,7 @@ func (j *JIT) guardsMatch(tr *Translation, fr *interp.Frame) bool {
 // retranslation cluster — without touching the dispatcher's minting
 // path. Lock-free.
 func (j *JIT) ChainFallback(fnID, pc int, fr *interp.Frame, m *machine.Meter) *Translation {
-	for _, tr := range (*j.trans.Load())[transKey{fnID, pc}] {
+	for _, tr := range j.index().get(fnID, pc) {
 		m.Charge(uint64(3 + 2*len(tr.Preconds)))
 		if tr.Code.Chainable && tr.Matches(fr) {
 			return tr
@@ -694,7 +690,7 @@ func (j *JIT) ChainFallback(fnID, pc int, fr *interp.Frame, m *machine.Meter) *T
 // findMatch scans the published chain for a guard-matching
 // translation, charging the per-candidate dispatch fee to m.
 func (j *JIT) findMatch(key transKey, fr *interp.Frame, m *machine.Meter) *Translation {
-	for _, tr := range (*j.trans.Load())[key] {
+	for _, tr := range j.index().get(key.fn, key.pc) {
 		m.Charge(uint64(3 + 2*len(tr.Preconds))) // chain guard checks
 		if j.guardsMatch(tr, fr) {
 			return tr
@@ -746,7 +742,7 @@ func (j *JIT) Lookup(fn *hhbc.Func, fr *interp.Frame, m *machine.Meter) *Transla
 		j.entryCount[key]++
 		var mint func(*hhbc.Func, *interp.Frame, *machine.Meter) *Translation
 		liveMint := false
-		chain := (*j.trans.Load())[key]
+		chain := j.index().get(key.fn, key.pc)
 		switch j.Cfg.Mode {
 		case ModeTracelet:
 			if j.entryCount[key] < j.Cfg.LiveThreshold || len(chain) >= j.Cfg.MaxLiveChain {
@@ -815,17 +811,13 @@ func (j *JIT) FindPublished(fn *hhbc.Func, fr *interp.Frame, m *machine.Meter) *
 // ForEachTranslation visits every translation in the published index
 // (diagnostics and the chain-invalidation tests).
 func (j *JIT) ForEachTranslation(fn func(tr *Translation)) {
-	for _, chain := range *j.trans.Load() {
-		for _, tr := range chain {
-			fn(tr)
-		}
-	}
+	j.index().each(fn)
 }
 
 // HasMatch reports whether a matching translation exists (OSR check;
 // no translation creation, no fee). Lock-free.
 func (j *JIT) HasMatch(fn *hhbc.Func, fr *interp.Frame) bool {
-	for _, tr := range (*j.trans.Load())[transKey{fn.ID, fr.PC}] {
+	for _, tr := range j.index().get(fn.ID, fr.PC) {
 		if j.guardsMatch(tr, fr) {
 			return true
 		}
@@ -845,7 +837,7 @@ func (j *JIT) WantsTranslation(fn *hhbc.Func, fr *interp.Frame) bool {
 	key := transKey{fn.ID, fr.PC}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.quarantinedLocked(key) || len((*j.trans.Load())[key]) >= j.Cfg.MaxLiveChain {
+	if j.quarantinedLocked(key) || len(j.index().get(key.fn, key.pc)) >= j.Cfg.MaxLiveChain {
 		return false
 	}
 	switch j.Cfg.Mode {

@@ -245,7 +245,6 @@ func (j *JIT) translateProfiling(fn *hhbc.Func, fr *interp.Frame, m *machine.Met
 	}
 	j.mu.Lock()
 	j.installLocked(tr)
-	j.byProfID[blk.ProfCounter] = tr
 	j.profBlocks[fn.ID] = append(j.profBlocks[fn.ID], blk)
 	j.profIDs[fn.ID] = append(j.profIDs[fn.ID], blk.ProfCounter)
 	j.mu.Unlock()
@@ -256,19 +255,13 @@ func (j *JIT) translateProfiling(fn *hhbc.Func, fr *interp.Frame, m *machine.Met
 }
 
 // installLocked publishes tr into the translation index RCU-style:
-// the current index is copied, the copy is extended, and the pointer
-// is swapped. Callers hold j.mu; concurrent lock-free readers keep
-// iterating the old map untouched.
+// the top level and tr's function table are copied, the copy of its
+// chain is extended, and the pointer is swapped. Callers hold j.mu;
+// concurrent lock-free readers keep walking the old version untouched.
 func (j *JIT) installLocked(tr *Translation) {
-	key := transKey{tr.FuncID, tr.PC}
-	old := *j.trans.Load()
-	idx := make(transIndex, len(old)+1)
-	for k, v := range old {
-		idx[k] = v
-	}
-	chain := append([]*Translation(nil), old[key]...)
-	idx[key] = append(chain, tr)
-	j.trans.Store(&idx)
+	e := j.index().edit()
+	e.add(tr)
+	j.publishLocked(e)
 	if j.onPublish != nil {
 		j.onPublish(tr)
 	}
@@ -497,21 +490,28 @@ func (j *JIT) OptimizeAll() {
 		}
 	}
 	j.mu.Lock()
-	old := *j.trans.Load()
-	idx := make(transIndex, len(old)+len(newTrans))
-	for key, chain := range old {
-		var keep []*Translation
-		for _, tr := range chain {
-			if tr.Kind == ModeProfiling && published[tr.FuncID] {
-				if j.onUnpublish != nil {
-					j.onUnpublish(tr)
-				}
-				continue
-			}
-			keep = append(keep, tr)
+	old := j.index()
+	e := old.edit()
+	for fnID, t := range old {
+		if t == nil || !published[fnID] {
+			continue
 		}
-		if len(keep) > 0 {
-			idx[key] = keep
+		for pc, chain := range t.chains {
+			var keep []*Translation
+			retired := false
+			for _, tr := range chain {
+				if tr.Kind == ModeProfiling {
+					if j.onUnpublish != nil {
+						j.onUnpublish(tr)
+					}
+					retired = true
+					continue
+				}
+				keep = append(keep, tr)
+			}
+			if retired {
+				e.set(fnID, pc, keep)
+			}
 		}
 	}
 	for _, tr := range newTrans {
@@ -523,12 +523,12 @@ func (j *JIT) OptimizeAll() {
 			j.retireCode(tr)
 			continue
 		}
-		idx[key] = append(idx[key], tr)
+		e.add(tr)
 		if j.onPublish != nil {
 			j.onPublish(tr)
 		}
 	}
-	j.trans.Store(&idx)
+	idx := j.publishLocked(e)
 	// Advance the link epoch: the republish retired the profiling
 	// chains, so chain links resolved against the old index must stop
 	// being followed. Readers that loaded a link before the bump see a
@@ -544,15 +544,7 @@ func (j *JIT) OptimizeAll() {
 	// Treadmill sweep: walk the surviving code and physically clear
 	// every stale-epoch link so old *Translation targets become
 	// collectable and machines stop paying the stale-check fee.
-	swept := 0
-	for _, chain := range idx {
-		for _, tr := range chain {
-			swept += tr.Code.SweepLinks(epoch)
-		}
-	}
-	if swept > 0 {
-		j.Chain.LinksSwept.Add(uint64(swept))
-	}
+	j.sweepLinks(idx, epoch)
 
 	if partial > 0 {
 		atomic.AddUint64(&j.stats.PartialPublishFuncs, partial)

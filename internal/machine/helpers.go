@@ -174,9 +174,11 @@ func (m *Machine) callHint(code *mcode.Code, ip int) ChainTarget {
 
 // smashCall binds a direct call site to the callee prologue
 // translation the dispatcher just entered, so the next call transfers
-// into it without a Lookup.
+// into it without a Lookup. A FreezeLinks machine (a sentry replay)
+// never binds: its private epoch would stamp unfollowable links into
+// shared code.
 func (m *Machine) smashCall(code *mcode.Code, ip int, entered ChainTarget) {
-	if entered == nil || !code.Chainable || m.Epoch == nil {
+	if entered == nil || !code.Chainable || m.Epoch == nil || m.FreezeLinks {
 		return
 	}
 	if cc := entered.ChainCode(); cc == nil || !cc.Chainable {

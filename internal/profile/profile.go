@@ -41,6 +41,10 @@ type Counters struct {
 
 	// arcs records observed transfers between profiling translations.
 	arcs map[Arc]uint64
+	// succs is arcs' adjacency: each source's distinct targets in
+	// first-recorded order, so ArcsWithin reads only the arcs leaving
+	// the translations it is asked about.
+	succs map[TransID][]TransID
 	// callTargets histograms callee classes at method-call sites:
 	// (funcID, bcPC) -> class name -> count.
 	callTargets map[CallSite]map[string]uint64
@@ -73,6 +77,7 @@ type CallArc struct{ Caller, Callee int }
 func NewCounters() *Counters {
 	c := &Counters{
 		arcs:        map[Arc]uint64{},
+		succs:       map[TransID][]TransID{},
 		callTargets: map[CallSite]map[string]uint64{},
 		funcCalls:   map[CallArc]uint64{},
 		propShapes:  map[CallSite]map[uint32]uint64{},
@@ -168,8 +173,17 @@ func (c *Counters) AddArc(from, to TransID, n uint64) {
 		return
 	}
 	c.mu.Lock()
-	c.arcs[Arc{from, to}] += n
+	c.addArcLocked(Arc{from, to}, n)
 	c.mu.Unlock()
+}
+
+// addArcLocked bumps arc a by n, recording a new arc in its source's
+// successor list. Callers hold c.mu.
+func (c *Counters) addArcLocked(a Arc, n uint64) {
+	if _, ok := c.arcs[a]; !ok {
+		c.succs[a.From] = append(c.succs[a.From], a.To)
+	}
+	c.arcs[a] += n
 }
 
 // ArcCount reads an arc weight.
@@ -179,14 +193,36 @@ func (c *Counters) ArcCount(from, to TransID) uint64 {
 	return c.arcs[Arc{from, to}]
 }
 
-// Arcs returns all arcs involving the given translations.
-func (c *Counters) Arcs(in map[TransID]bool) map[Arc]uint64 {
+// ArcWeight is one arc with its recorded weight.
+type ArcWeight struct {
+	Arc
+	Weight uint64
+}
+
+// ArcsWithin returns the arcs whose endpoints both lie in ids (one
+// function's TransCFG edges), grouped by source in ids order. It walks
+// the ids' own successor lists, so its cost follows the arcs leaving
+// ids, not every arc the process has recorded.
+func (c *Counters) ArcsWithin(ids []TransID) []ArcWeight {
+	// unvisited[id] is true until id's successors have been read, so a
+	// repeated id contributes its arcs once.
+	unvisited := make(map[TransID]bool, len(ids))
+	for _, id := range ids {
+		unvisited[id] = true
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	out := make(map[Arc]uint64)
-	for a, n := range c.arcs {
-		if in[a.From] || in[a.To] {
-			out[a] = n
+	var out []ArcWeight
+	for _, from := range ids {
+		if !unvisited[from] {
+			continue
+		}
+		unvisited[from] = false
+		for _, to := range c.succs[from] {
+			if _, ok := unvisited[to]; ok {
+				a := Arc{from, to}
+				out = append(out, ArcWeight{a, c.arcs[a]})
+			}
 		}
 	}
 	return out
@@ -399,7 +435,7 @@ func (c *Counters) Merge(d *Data, weight float64) {
 	defer c.mu.Unlock()
 	for a, n := range d.Arcs {
 		if s := scaleCount(n, weight); s > 0 {
-			c.arcs[a] += s
+			c.addArcLocked(a, s)
 		}
 	}
 	for site, m := range d.CallTargets {

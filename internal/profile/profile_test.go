@@ -23,9 +23,46 @@ func TestCountersAndArcs(t *testing.T) {
 	if c.ArcCount(a, b) != 2 {
 		t.Errorf("arc count = %d", c.ArcCount(a, b))
 	}
-	arcs := c.Arcs(map[profile.TransID]bool{a: true})
-	if len(arcs) != 1 {
-		t.Errorf("arcs = %v", arcs)
+	// ArcsWithin keeps only arcs with both endpoints in the set.
+	if arcs := c.ArcsWithin([]profile.TransID{a}); len(arcs) != 0 {
+		t.Errorf("ArcsWithin({a}) = %v, want none (b is outside the set)", arcs)
+	}
+	want := profile.ArcWeight{Arc: profile.Arc{From: a, To: b}, Weight: 2}
+	if arcs := c.ArcsWithin([]profile.TransID{b, a}); len(arcs) != 1 || arcs[0] != want {
+		t.Errorf("ArcsWithin({b, a}) = %v, want [%v]", arcs, want)
+	}
+}
+
+// TestArcsWithinAfterMerge: arcs that arrive by Merge — new ones and
+// ones already recorded — are reachable through ArcsWithin with their
+// summed weights, and a repeated id reports its arcs once.
+func TestArcsWithinAfterMerge(t *testing.T) {
+	c := profile.NewCounters()
+	a, b, x := c.NewCounter(), c.NewCounter(), c.NewCounter()
+	c.RecordArc(a, b)
+	c.Merge(&profile.Data{Arcs: map[profile.Arc]uint64{
+		{From: a, To: b}: 3, // already recorded: weights add
+		{From: b, To: a}: 4, // new arc
+		{From: a, To: x}: 5, // leaves the set queried below
+	}}, 1)
+
+	got := map[profile.Arc]uint64{}
+	arcs := c.ArcsWithin([]profile.TransID{a, b, a})
+	for _, aw := range arcs {
+		got[aw.Arc] = aw.Weight
+	}
+	if len(arcs) != 2 || got[profile.Arc{From: a, To: b}] != 4 || got[profile.Arc{From: b, To: a}] != 4 {
+		t.Errorf("ArcsWithin({a, b, a}) after merge = %v", arcs)
+	}
+	if arcs := c.ArcsWithin([]profile.TransID{a, x}); len(arcs) != 1 || arcs[0].Weight != 5 {
+		t.Errorf("ArcsWithin({a, x}) after merge = %v", arcs)
+	}
+
+	// A fresh store rebuilt purely from a snapshot sees the same arcs.
+	fresh := profile.NewCounters()
+	fresh.Merge(c.Snapshot(), 1)
+	if arcs := fresh.ArcsWithin([]profile.TransID{a, b}); len(arcs) != 2 {
+		t.Errorf("merged-only store: ArcsWithin({a, b}) = %v", arcs)
 	}
 }
 

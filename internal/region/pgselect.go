@@ -34,19 +34,11 @@ func BuildTransCFG(blocks []*Block, ids []profile.TransID, counters *profile.Cou
 		idx[id] = i
 		g.Weights = append(g.Weights, counters.Count(id))
 	}
-	inSet := map[profile.TransID]bool{}
-	for _, id := range ids {
-		inSet[id] = true
-	}
 	// Observed arcs first.
 	haveArc := map[[2]int]bool{}
-	for arc, w := range counters.Arcs(inSet) {
-		fi, okF := idx[arc.From]
-		ti, okT := idx[arc.To]
-		if !okF || !okT {
-			continue
-		}
-		g.Succ[fi] = append(g.Succ[fi], WeightedArc{To: ti, Weight: w})
+	for _, arc := range counters.ArcsWithin(ids) {
+		fi, ti := idx[arc.From], idx[arc.To]
+		g.Succ[fi] = append(g.Succ[fi], WeightedArc{To: ti, Weight: arc.Weight})
 		haveArc[[2]int{fi, ti}] = true
 	}
 	// Static successors not observed get estimated (zero) weights so
@@ -65,10 +57,11 @@ func BuildTransCFG(blocks []*Block, ids []profile.TransID, counters *profile.Cou
 		}
 	}
 	// Total order (weight desc, then target index): observed arcs come
-	// off a map, and a weight-only comparison would leave equal-weight
-	// arcs in random relative order — the region former's DFS follows
-	// this order, so ties must break deterministically or region shape
-	// (and emitted code) varies run to run.
+	// in recording order, which varies with worker scheduling, and a
+	// weight-only comparison would keep equal-weight arcs in that order
+	// — the region former's DFS follows this order, so ties must break
+	// deterministically or region shape (and emitted code) varies run
+	// to run.
 	for i := range g.Succ {
 		sort.Slice(g.Succ[i], func(a, b int) bool {
 			if g.Succ[i][a].Weight != g.Succ[i][b].Weight {

@@ -124,11 +124,6 @@ func TestGoldenFleet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The torn-link count is not pinned: the monitor's replay VM binds
-	// direct-call links stamped with its private epoch into shared
-	// code while the hosts serve, so how many the auditor later finds
-	// depends on goroutine timing.
-	r.Verify.TornLinks = 0
 	checkGolden(t, "fleet.json", fleetGolden{
 		Samples:        r.Samples,
 		HostTimelines:  r.HostTimelines,

@@ -1,35 +1,43 @@
 package vasm
 
-import "sort"
+import "math/bits"
 
 // Allocate performs linear-scan register allocation in the style of
 // Wimmer & Franz (SSA-based linear scan): live intervals over a
 // linearized block order, NumPhysRegs physical cell registers, and
 // spill slots for the overflow. Spilled virtual registers get a
-// Reload before each use and a Spill after each definition.
+// Reload before each use and a Spill after each definition. Every
+// per-vreg table is a dense array indexed by vreg number, sized by
+// u.NumVRegs (Lower sets it above every register it hands out).
 func Allocate(u *Unit) {
 	lin := linearize(u)
-
-	// Live intervals [start, end] per vreg over linear positions.
-	type interval struct {
-		vreg       Reg
-		start, end int
-	}
 	starts, ends := liveIntervals(u, lin)
 
-	var ivs []interval
-	for r, s := range starts {
-		ivs = append(ivs, interval{vreg: r, start: s, end: ends[r]})
-	}
-	sort.Slice(ivs, func(i, j int) bool {
-		if ivs[i].start != ivs[j].start {
-			return ivs[i].start < ivs[j].start
+	// Intervals in (start, vreg) order: a counting sort on the start
+	// position, filled in ascending vreg order.
+	first := make([]int, len(lin)+1)
+	for _, s := range starts {
+		if s >= 0 {
+			first[s+1]++
 		}
-		return ivs[i].vreg < ivs[j].vreg
-	})
+	}
+	for i := 1; i < len(first); i++ {
+		first[i] += first[i-1]
+	}
+	order := make([]Reg, first[len(lin)])
+	for r, s := range starts {
+		if s >= 0 {
+			order[first[s]] = Reg(r)
+			first[s]++
+		}
+	}
 
-	phys := map[Reg]Reg{}  // vreg -> physical
-	spill := map[Reg]int{} // vreg -> spill slot
+	phys := make([]Reg, len(starts))  // vreg -> physical, InvalidReg if none
+	spill := make([]int, len(starts)) // vreg -> spill slot, -1 if none
+	for r := range phys {
+		phys[r] = InvalidReg
+		spill[r] = -1
+	}
 	type active struct {
 		vreg Reg
 		end  int
@@ -42,11 +50,12 @@ func Allocate(u *Unit) {
 	}
 	nextSpill := 0
 
-	for _, iv := range ivs {
+	for _, vreg := range order {
+		start, end := starts[vreg], ends[vreg]
 		// Expire old intervals.
 		na := act[:0]
 		for _, a := range act {
-			if a.end < iv.start {
+			if a.end < start {
 				freeRegs = append(freeRegs, a.p)
 			} else {
 				na = append(na, a)
@@ -56,8 +65,8 @@ func Allocate(u *Unit) {
 		if len(freeRegs) > 0 {
 			p := freeRegs[len(freeRegs)-1]
 			freeRegs = freeRegs[:len(freeRegs)-1]
-			phys[iv.vreg] = p
-			act = append(act, active{iv.vreg, iv.end, p})
+			phys[vreg] = p
+			act = append(act, active{vreg, end, p})
 			continue
 		}
 		// Spill the interval ending furthest away.
@@ -67,15 +76,15 @@ func Allocate(u *Unit) {
 				furthest = i
 			}
 		}
-		if act[furthest].end > iv.end {
+		if act[furthest].end > end {
 			victim := act[furthest]
 			spill[victim.vreg] = nextSpill
 			nextSpill++
-			delete(phys, victim.vreg)
-			phys[iv.vreg] = victim.p
-			act[furthest] = active{iv.vreg, iv.end, victim.p}
+			phys[victim.vreg] = InvalidReg
+			phys[vreg] = victim.p
+			act[furthest] = active{vreg, end, victim.p}
 		} else {
-			spill[iv.vreg] = nextSpill
+			spill[vreg] = nextSpill
 			nextSpill++
 		}
 	}
@@ -83,7 +92,7 @@ func Allocate(u *Unit) {
 	// Rewrite instructions: spilled registers borrow a reserved
 	// scratch physical register via Reload/Spill around each
 	// use/definition. Two scratch registers cover binary ops.
-	rewrite(u, lin, phys, spill)
+	rewrite(u, phys, spill)
 	u.NumSpills = nextSpill
 }
 
@@ -108,39 +117,49 @@ func linearize(u *Unit) []instrRef {
 	return out
 }
 
-// liveIntervals computes [start, end] per virtual register using a
-// backward liveness dataflow over the block graph, then widening each
-// register's interval to cover every linear position where it is
-// live — the interval construction of Wimmer-Franz linear scan.
-func liveIntervals(u *Unit, lin []instrRef) (map[Reg]int, map[Reg]int) {
-	// Per-instruction uses/defs.
-	uses := func(in *Instr, f func(Reg)) {
-		if in.A != InvalidReg {
-			f(in.A)
-		}
-		if in.B != InvalidReg {
-			f(in.B)
-		}
-		for _, r := range in.Args {
+// forEachUse calls f for every register the instruction reads,
+// including InvalidReg entries of its argument and exit-stack lists.
+func forEachUse(in *Instr, f func(Reg)) {
+	if in.A != InvalidReg {
+		f(in.A)
+	}
+	if in.B != InvalidReg {
+		f(in.B)
+	}
+	for _, r := range in.Args {
+		f(r)
+	}
+	if in.Ex != nil {
+		for _, r := range in.Ex.StackRegs {
 			f(r)
 		}
-		if in.Ex != nil {
-			for _, r := range in.Ex.StackRegs {
-				f(r)
+		for ii := in.Ex.Inline; ii != nil; ii = ii.Parent {
+			if ii.ThisReg != InvalidReg {
+				f(ii.ThisReg)
 			}
-			for ii := in.Ex.Inline; ii != nil; ii = ii.Parent {
-				if ii.ThisReg != InvalidReg {
-					f(ii.ThisReg)
-				}
-				for _, r := range ii.CallerStackRegs {
-					f(r)
-				}
+			for _, r := range ii.CallerStackRegs {
+				f(r)
 			}
 		}
 	}
+}
+
+// liveIntervals computes [start, end] per virtual register using a
+// backward liveness dataflow over the block graph, then widening each
+// register's interval to cover every linear position where it is
+// live — the interval construction of Wimmer-Franz linear scan. Both
+// results are indexed by vreg; starts[r] is -1 for a register that
+// never occurs.
+//
+// Only upward-exposed vregs (read in some block before any write in
+// that block) can be live across a block boundary, so only they get a
+// bit in the dataflow's word bitsets; vregs local to one block never
+// enter it, which keeps the bitsets (blocks x exposed vregs) small.
+func liveIntervals(u *Unit, lin []instrRef) (starts, ends []int) {
+	n, nb := u.NumVRegs, len(u.Blocks)
 
 	// Successor map (all jump targets, including guard edges).
-	succs := make([][]int, len(u.Blocks))
+	succs := make([][]int, nb)
 	for bi, b := range u.Blocks {
 		for i := range b.Instrs {
 			in := &b.Instrs[i]
@@ -164,99 +183,138 @@ func liveIntervals(u *Unit, lin []instrRef) (map[Reg]int, map[Reg]int) {
 		}
 	}
 
-	// gen/kill per block (backward within the block).
-	gen := make([]map[Reg]bool, len(u.Blocks))
-	kill := make([]map[Reg]bool, len(u.Blocks))
+	// Upward-exposed uses per block (gen), walking forward: a read is
+	// exposed unless the block wrote the register earlier. Each
+	// exposed vreg is numbered on first sight. defIn/genIn hold bi+1
+	// for the block that last wrote / exposed the register.
+	bitOf := make([]int32, n)
+	defIn := make([]int32, n)
+	genIn := make([]int32, n)
+	for r := range bitOf {
+		bitOf[r] = -1
+	}
+	var bitReg []Reg    // bit -> vreg
+	var genBits []int32 // every block's exposed bits, block by block
+	genEnd := make([]int, nb)
 	for bi, b := range u.Blocks {
-		g, k := map[Reg]bool{}, map[Reg]bool{}
-		for i := len(b.Instrs) - 1; i >= 0; i-- {
+		mark := int32(bi + 1)
+		for i := range b.Instrs {
 			in := &b.Instrs[i]
-			if in.D != InvalidReg {
-				k[in.D] = true
-				delete(g, in.D)
+			forEachUse(in, func(r Reg) {
+				if r < 0 || defIn[r] == mark || genIn[r] == mark {
+					return
+				}
+				genIn[r] = mark
+				if bitOf[r] < 0 {
+					bitOf[r] = int32(len(bitReg))
+					bitReg = append(bitReg, r)
+				}
+				genBits = append(genBits, bitOf[r])
+			})
+			if in.D >= 0 {
+				defIn[in.D] = mark
 			}
-			uses(in, func(r Reg) { g[r] = true })
 		}
-		gen[bi], kill[bi] = g, k
+		genEnd[bi] = len(genBits)
 	}
 
-	// Backward dataflow to a fixpoint.
-	liveIn := make([]map[Reg]bool, len(u.Blocks))
-	liveOut := make([]map[Reg]bool, len(u.Blocks))
-	for i := range liveIn {
-		liveIn[i] = map[Reg]bool{}
-		liveOut[i] = map[Reg]bool{}
-	}
-	changed := true
-	for changed {
-		changed = false
-		for bi := len(u.Blocks) - 1; bi >= 0; bi-- {
-			out := liveOut[bi]
-			for _, s := range succs[bi] {
-				if s < 0 || s >= len(u.Blocks) {
-					continue
-				}
-				for r := range liveIn[s] {
-					if !out[r] {
-						out[r] = true
-						changed = true
+	// gen / kill / live-in / live-out as word bitsets, w words per
+	// block. kill only needs the exposed vregs' bits.
+	w := (len(bitReg) + 63) / 64
+	gen := make([]uint64, nb*w)
+	kill := make([]uint64, nb*w)
+	liveIn := make([]uint64, nb*w)
+	liveOut := make([]uint64, nb*w)
+	if w > 0 {
+		lo := 0
+		for bi, b := range u.Blocks {
+			for _, bit := range genBits[lo:genEnd[bi]] {
+				gen[bi*w+int(bit>>6)] |= 1 << (bit & 63)
+			}
+			lo = genEnd[bi]
+			for i := range b.Instrs {
+				if d := b.Instrs[i].D; d >= 0 {
+					if bit := bitOf[d]; bit >= 0 {
+						kill[bi*w+int(bit>>6)] |= 1 << (bit & 63)
 					}
 				}
 			}
-			in := liveIn[bi]
-			for r := range out {
-				if !kill[bi][r] && !in[r] {
-					in[r] = true
-					changed = true
+		}
+
+		// Backward dataflow to a fixpoint.
+		changed := true
+		for changed {
+			changed = false
+			for bi := nb - 1; bi >= 0; bi-- {
+				out := liveOut[bi*w : (bi+1)*w]
+				for _, s := range succs[bi] {
+					if s < 0 || s >= nb {
+						continue
+					}
+					sin := liveIn[s*w : (s+1)*w]
+					for k, v := range sin {
+						if nv := out[k] | v; nv != out[k] {
+							out[k] = nv
+							changed = true
+						}
+					}
 				}
-			}
-			for r := range gen[bi] {
-				if !in[r] {
-					in[r] = true
-					changed = true
+				in := liveIn[bi*w : (bi+1)*w]
+				g, kl := gen[bi*w:(bi+1)*w], kill[bi*w:(bi+1)*w]
+				for k := range in {
+					if nv := in[k] | g[k] | out[k]&^kl[k]; nv != in[k] {
+						in[k] = nv
+						changed = true
+					}
 				}
 			}
 		}
 	}
 
 	// Build intervals over linear positions.
-	starts := map[Reg]int{}
-	ends := map[Reg]int{}
+	starts = make([]int, n)
+	ends = make([]int, n)
+	for r := range starts {
+		starts[r] = -1
+	}
 	touch := func(r Reg, pos int) {
-		if r == InvalidReg {
+		if r < 0 {
 			return
 		}
-		if s, ok := starts[r]; !ok || pos < s {
+		if s := starts[r]; s < 0 || pos < s {
 			starts[r] = pos
 		}
 		if pos > ends[r] {
 			ends[r] = pos
 		}
 	}
-	blockFirst := map[int]int{}
-	blockLast := map[int]int{}
+	blockFirst := make([]int, nb)
+	blockLast := make([]int, nb)
+	for bi := range blockFirst {
+		blockFirst[bi] = -1
+	}
 	for pos, ref := range lin {
-		if _, ok := blockFirst[ref.block]; !ok {
+		if blockFirst[ref.block] < 0 {
 			blockFirst[ref.block] = pos
 		}
 		blockLast[ref.block] = pos
-	}
-	for pos, ref := range lin {
 		in := &u.Blocks[ref.block].Instrs[ref.idx]
-		uses(in, func(r Reg) { touch(r, pos) })
+		forEachUse(in, func(r Reg) { touch(r, pos) })
 		touch(in.D, pos)
 	}
+	touchSet := func(set []uint64, pos int) {
+		for k, word := range set {
+			for word != 0 {
+				t := bits.TrailingZeros64(word)
+				word &= word - 1
+				touch(bitReg[k<<6+t], pos)
+			}
+		}
+	}
 	for bi := range u.Blocks {
-		bf, ok := blockFirst[bi]
-		if !ok {
-			continue
-		}
-		bl := blockLast[bi]
-		for r := range liveIn[bi] {
-			touch(r, bf)
-		}
-		for r := range liveOut[bi] {
-			touch(r, bl)
+		if bf := blockFirst[bi]; bf >= 0 {
+			touchSet(liveIn[bi*w:(bi+1)*w], bf)
+			touchSet(liveOut[bi*w:(bi+1)*w], blockLast[bi])
 		}
 	}
 	return starts, ends
@@ -273,15 +331,29 @@ const (
 // scratch).
 const TotalMachineRegs = NumPhysRegs + 3
 
-func rewrite(u *Unit, lin []instrRef, phys map[Reg]Reg, spill map[Reg]int) {
+// rewrite maps every register operand onto its allocation: phys and
+// spill are indexed by vreg (InvalidReg / -1 when unassigned).
+func rewrite(u *Unit, phys []Reg, spill []int) {
+	physOf := func(r Reg) (Reg, bool) {
+		if r < 0 || int(r) >= len(phys) || phys[r] == InvalidReg {
+			return 0, false
+		}
+		return phys[r], true
+	}
+	slotOf := func(r Reg) (int, bool) {
+		if r < 0 || int(r) >= len(spill) || spill[r] < 0 {
+			return 0, false
+		}
+		return spill[r], true
+	}
 	mapUse := func(r Reg, scratch Reg, pre *[]Instr) Reg {
 		if r == InvalidReg {
 			return r
 		}
-		if p, ok := phys[r]; ok {
+		if p, ok := physOf(r); ok {
 			return p
 		}
-		slot, ok := spill[r]
+		slot, ok := slotOf(r)
 		if !ok {
 			return 0 // defined but never allocated (unused): park in r0
 		}
@@ -295,10 +367,10 @@ func rewrite(u *Unit, lin []instrRef, phys map[Reg]Reg, spill map[Reg]int) {
 		if r == InvalidReg {
 			return r
 		}
-		if p, ok := phys[r]; ok {
+		if p, ok := physOf(r); ok {
 			return p
 		}
-		slot, ok := spill[r]
+		slot, ok := slotOf(r)
 		if !ok {
 			return 0
 		}
@@ -310,12 +382,13 @@ func rewrite(u *Unit, lin []instrRef, phys map[Reg]Reg, spill map[Reg]int) {
 	}
 
 	for _, b := range u.Blocks {
-		var out []Instr
+		// Reloads go straight into out ahead of their instruction.
+		out := make([]Instr, 0, len(b.Instrs))
 		for i := range b.Instrs {
 			in := b.Instrs[i]
-			var pre, post []Instr
-			in.A = mapUse(in.A, scratch0, &pre)
-			in.B = mapUse(in.B, scratch1, &pre)
+			var post []Instr
+			in.A = mapUse(in.A, scratch0, &out)
+			in.B = mapUse(in.B, scratch1, &out)
 			for ai := range in.Args {
 				// Args beyond two scratches spill through scratch2
 				// sequentially; the machine consumes args before any
@@ -327,11 +400,11 @@ func rewrite(u *Unit, lin []instrRef, phys map[Reg]Reg, spill map[Reg]int) {
 				if r == InvalidReg {
 					continue
 				}
-				if p, ok := phys[r]; ok {
+				if p, ok := physOf(r); ok {
 					in.Args[ai] = p
 					continue
 				}
-				slot, ok := spill[r]
+				slot, ok := slotOf(r)
 				if !ok {
 					in.Args[ai] = 0
 					continue
@@ -350,9 +423,9 @@ func rewrite(u *Unit, lin []instrRef, phys map[Reg]Reg, spill map[Reg]int) {
 				ex := *in.Ex
 				ex.StackRegs = append([]Reg(nil), in.Ex.StackRegs...)
 				for si, r := range ex.StackRegs {
-					if p, ok := phys[r]; ok {
+					if p, ok := physOf(r); ok {
 						ex.StackRegs[si] = p
-					} else if slot, ok := spill[r]; ok {
+					} else if slot, ok := slotOf(r); ok {
 						ex.StackRegs[si] = SpillRegBase + Reg(slot)
 					} else {
 						ex.StackRegs[si] = 0
@@ -362,10 +435,10 @@ func rewrite(u *Unit, lin []instrRef, phys map[Reg]Reg, spill map[Reg]int) {
 					if r == InvalidReg {
 						return r
 					}
-					if p, ok := phys[r]; ok {
+					if p, ok := physOf(r); ok {
 						return p
 					}
-					if slot, ok := spill[r]; ok {
+					if slot, ok := slotOf(r); ok {
 						return SpillRegBase + Reg(slot)
 					}
 					return 0
@@ -388,13 +461,11 @@ func rewrite(u *Unit, lin []instrRef, phys map[Reg]Reg, spill map[Reg]int) {
 				in.Ex = &ex
 			}
 			in.D = mapDef(in.D, scratch0, &post)
-			out = append(out, pre...)
 			out = append(out, in)
 			out = append(out, post...)
 		}
 		b.Instrs = out
 	}
-	_ = lin
 }
 
 // SpillRegBase: register numbers at or above this value denote spill
